@@ -1,0 +1,63 @@
+"""Outage analysis of an energy-harvesting incremental relay network.
+
+Two independent paths compute the same system outage probability: a
+closed-form engine built on a finite-state battery chain (transition
+matrix, stationary distribution, incomplete-gamma outage expression)
+and a block-level Monte Carlo protocol simulator. A sweep-running CLI
+(`ehrelay`) drives both and cross-validates them.
+"""
+
+from .errors import NumericalError, ValidationError
+from .specfun import DEFAULT_TOL, Tolerance, lower_incomplete_gamma, marcum_q
+from .channel import (FadeSample, LinkStats, SystemParams, Thresholds,
+                      cdf_h_sd, cdf_h_sr, link_stats, mean_gain,
+                      sample_fade_blocks, sample_fades, thresholds)
+from .battery import (BatteryConfig, SteadyState, TransitionMatrix,
+                      build_transition_matrix, discretize_harvest,
+                      reachable_steady_state, steady_state)
+from .outage import (MeanSnrs, OutageBreakdown, direct_baseline,
+                     energy_sufficiency, mean_snrs, mode4_joint_cdf,
+                     optimize_threshold, outage_probability)
+from .simulator import BlockOutcome, Mode, SimulationResult, simulate, step
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "BatteryConfig",
+    "BlockOutcome",
+    "DEFAULT_TOL",
+    "FadeSample",
+    "LinkStats",
+    "MeanSnrs",
+    "Mode",
+    "NumericalError",
+    "OutageBreakdown",
+    "SimulationResult",
+    "SteadyState",
+    "SystemParams",
+    "Thresholds",
+    "Tolerance",
+    "TransitionMatrix",
+    "ValidationError",
+    "build_transition_matrix",
+    "cdf_h_sd",
+    "cdf_h_sr",
+    "direct_baseline",
+    "discretize_harvest",
+    "energy_sufficiency",
+    "link_stats",
+    "lower_incomplete_gamma",
+    "marcum_q",
+    "mean_gain",
+    "mean_snrs",
+    "mode4_joint_cdf",
+    "optimize_threshold",
+    "outage_probability",
+    "reachable_steady_state",
+    "sample_fade_blocks",
+    "sample_fades",
+    "simulate",
+    "steady_state",
+    "step",
+    "thresholds",
+]

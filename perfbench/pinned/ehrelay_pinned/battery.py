@@ -1,0 +1,304 @@
+"""Finite-level relay battery: transition matrix and stationary state.
+
+The battery is discretized into `levels` equal energy steps. Rows of
+the transition matrix split into two regimes. Below the cooperation
+threshold the relay harvests over the whole block, so charging
+probabilities come from the source-relay gain CDF at one-level energy
+multiples. At or above the threshold the relay spends the first slot
+decoding: it either harvests over half a block (direct link up) or
+discharges by exactly the threshold level count (direct link down).
+
+Two stationary solvers are provided. `steady_state` is the rank-one
+corrected linear solve; it refuses reducible or near-singular systems.
+`reachable_steady_state` is the robust pipeline solver: it restricts
+the chain to the closed class reachable from the empty battery and
+eliminates it GTH-style, which stays accurate even when charging
+probabilities are so small that the linear solve is hopelessly
+ill-conditioned (a real regime here: at low source power the level
+discretization rounds essentially every harvest to zero).
+"""
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .channel import LinkStats, SystemParams, Thresholds, cdf_h_sd, cdf_h_sr
+from .errors import NumericalError, ValidationError
+from .specfun import DEFAULT_TOL, Tolerance
+
+__all__ = [
+    "BatteryConfig",
+    "TransitionMatrix",
+    "SteadyState",
+    "discretize_harvest",
+    "build_transition_matrix",
+    "steady_state",
+    "reachable_steady_state",
+]
+
+# refined double-precision solves carry error of roughly cond * 1e-19;
+# past this condition estimate they can no longer honor the 1e-9
+# accuracy the steady state is tested at
+_COND_LIMIT = 1e9
+
+
+@dataclass(frozen=True)
+class BatteryConfig:
+    """Discretized battery with a configured cooperation threshold.
+
+    eps_t_level is the smallest level index whose energy covers e_t;
+    that level count is what a cooperative transmission actually drains.
+    """
+
+    capacity: float          # battery capacity C [J]
+    levels: int              # number of charge steps L (states 0..L)
+    e_t: float               # configured cooperation threshold [J]
+    eps_t_level: int = field(init=False)
+
+    def __post_init__(self):
+        if not self.capacity > 0.0:
+            raise ValidationError(f"capacity must be > 0, got {self.capacity!r}")
+        if not (isinstance(self.levels, int) and self.levels >= 1):
+            raise ValidationError(f"levels must be an integer >= 1, got {self.levels!r}")
+        if not self.e_t > 0.0:
+            raise ValidationError(f"e_t must be > 0, got {self.e_t!r}")
+        if self.e_t > self.capacity:
+            raise ValidationError(
+                f"e_t={self.e_t!r} exceeds capacity={self.capacity!r}: "
+                "the relay can never discharge"
+            )
+        step = self.capacity / self.levels
+        k = max(1, math.ceil(self.e_t / step))
+        # float guard: keep the defining property min{k >= 1 : k*step >= e_t}
+        while k > 1 and (k - 1) * step >= self.e_t:
+            k -= 1
+        while k <= self.levels and k * step < self.e_t:
+            k += 1
+        if k > self.levels:
+            raise ValidationError(
+                f"no battery level covers e_t={self.e_t!r} (capacity {self.capacity!r})"
+            )
+        object.__setattr__(self, "eps_t_level", k)
+
+    @property
+    def step(self) -> float:
+        """Energy per battery level [J]."""
+        return self.capacity / self.levels
+
+
+@dataclass(frozen=True)
+class TransitionMatrix:
+    """Row-stochastic battery-level transition matrix, states 0..L."""
+
+    z: np.ndarray
+
+    def __post_init__(self):
+        z = np.asarray(self.z, dtype=float)
+        object.__setattr__(self, "z", z)
+        if z.ndim != 2 or z.shape[0] != z.shape[1]:
+            raise ValidationError(f"transition matrix must be square, got shape {z.shape}")
+        if np.any(z < 0.0) or np.any(z > 1.0):
+            raise ValidationError("transition probabilities must lie in [0, 1]")
+        worst = np.abs(z.sum(axis=1) - 1.0).max()
+        if worst > 1e-12:
+            raise ValidationError(f"rows must sum to 1 within 1e-12, worst deviation {worst:.3e}")
+
+
+@dataclass(frozen=True)
+class SteadyState:
+    """Stationary distribution over battery levels."""
+
+    pi: np.ndarray
+
+    def __post_init__(self):
+        pi = np.asarray(self.pi, dtype=float)
+        object.__setattr__(self, "pi", pi)
+        if np.any(pi < 0.0):
+            raise ValidationError("steady-state probabilities must be nonnegative")
+        if abs(pi.sum() - 1.0) > 1e-10:
+            raise ValidationError(f"steady state must sum to 1 within 1e-10, got {pi.sum()!r}")
+
+
+def discretize_harvest(e_h: float, cfg: BatteryConfig) -> int:
+    """Largest level index whose energy lies strictly below e_h.
+
+    Energy exactly on a level boundary rounds DOWN one level; zero
+    harvest maps to level 0. Result is clipped to the level range.
+    """
+    if not e_h >= 0.0:
+        raise ValidationError(f"harvested energy must be >= 0, got {e_h!r}")
+    if e_h == 0.0:
+        return 0
+    level = math.ceil(e_h / cfg.step) - 1
+    return min(max(level, 0), cfg.levels)
+
+
+def _sr_cdf_tables(params: SystemParams, links: LinkStats, cfg: BatteryConfig,
+                   tol: Tolerance):
+    """Source-relay CDF evaluated on the level grid: full-block and
+    half-block harvest thresholds. Independent of e_t, so threshold
+    searches can reuse one pair of tables."""
+    unit = cfg.capacity / (params.eta * params.p_s * cfg.levels)
+    f_full = np.array([cdf_h_sr(j * unit, params, links.omega_sr, tol)
+                       for j in range(cfg.levels + 1)])
+    f_half = np.array([cdf_h_sr(2.0 * j * unit, params, links.omega_sr, tol)
+                       for j in range(cfg.levels + 1)])
+    return f_full, f_half
+
+
+def _assemble_matrix(f_full: np.ndarray, f_half: np.ndarray, fail_direct: float,
+                     k_thr: int) -> np.ndarray:
+    ell = len(f_full) - 1
+    z = np.zeros((ell + 1, ell + 1))
+    for i in range(ell + 1):
+        gaps = np.arange(ell - i)
+        if i < k_thr:
+            z[i, i:ell] = f_full[gaps + 1] - f_full[gaps]
+            z[i, ell] = 1.0 - f_full[ell - i]
+        else:
+            keep = 1.0 - fail_direct
+            z[i, i:ell] = keep * (f_half[gaps + 1] - f_half[gaps])
+            z[i, ell] = keep * (1.0 - f_half[ell - i])
+            z[i, i - k_thr] = fail_direct
+    return z
+
+
+def _finish_matrix(z: np.ndarray) -> TransitionMatrix:
+    worst = np.abs(z.sum(axis=1) - 1.0).max()
+    if worst > 1e-9:
+        raise NumericalError(
+            f"transition rows do not partition probability space, worst row-sum "
+            f"deviation {worst:.3e}"
+        )
+    np.clip(z, 0.0, 1.0, out=z)
+    return TransitionMatrix(z)
+
+
+def build_transition_matrix(params: SystemParams, links: LinkStats, thr: Thresholds,
+                            cfg: BatteryConfig, tol: Tolerance = DEFAULT_TOL) -> TransitionMatrix:
+    """Assemble the battery transition matrix for one configuration.
+
+    Charging entries depend on the current level only through the gap
+    to the target level, so the source-relay CDF is evaluated once per
+    gap and rows are filled from the increments. The discharge entry
+    sits exactly eps_t_level below the diagonal with the direct-link
+    failure probability as its mass.
+
+    Rows are checked, never renormalized: a row deviating from 1 by
+    more than 1e-9 means the transition cases no longer partition the
+    probability space, which is a NumericalError.
+    """
+    f_full, f_half = _sr_cdf_tables(params, links, cfg, tol)
+    fail_direct = cdf_h_sd(thr.gamma1 * params.n0 / params.p_s, links.omega_sd)
+    return _finish_matrix(_assemble_matrix(f_full, f_half, fail_direct, cfg.eps_t_level))
+
+
+def steady_state(tm: TransitionMatrix) -> SteadyState:
+    """Stationary distribution via the rank-one corrected linear solve.
+
+    Solves (Z^T - I + B) pi = b with B the all-ones matrix and b the
+    all-ones vector; any solution automatically satisfies sum(pi) = 1.
+    A reachability scan over the nonzero pattern runs first, and a
+    condition estimate above _COND_LIMIT aborts: both indicate a chain
+    that is reducible (exactly or to working precision), for which this
+    solve cannot return an answer accurate to the 1e-9 the test suite
+    holds it to. Stiff-but-representable chains remain solvable through
+    `reachable_steady_state`, which has no such limit.
+    """
+    z = tm.z
+    if not _strongly_connected(z > 0.0):
+        raise NumericalError(
+            "transition matrix is reducible: some battery states are unreachable "
+            "(vanishing harvest or direct-link probabilities for this configuration)"
+        )
+    n = z.shape[0]
+    a = z.T - np.eye(n) + np.ones((n, n))
+    cond = np.linalg.cond(a)
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
+        raise NumericalError(
+            f"steady-state system is near-singular (condition estimate {cond:.3e}); "
+            "the chain is reducible to working precision"
+        )
+    b = np.ones(n)
+    pi = np.linalg.solve(a, b)
+    # two refinement steps with extended-precision residuals recover the
+    # digits the plain solve loses on stiff (large-condition) chains
+    a_ld = a.astype(np.longdouble)
+    for _ in range(2):
+        residual_ld = b - a_ld @ pi.astype(np.longdouble)
+        pi = pi + np.linalg.solve(a, residual_ld.astype(float))
+    if pi.min() < -1e-12:
+        raise NumericalError(f"steady-state solve produced negative mass {pi.min():.3e}")
+    residual = np.abs(z.T @ pi - pi).max()
+    if residual > 1e-10:
+        raise NumericalError(f"steady-state fixed-point residual {residual:.3e} exceeds 1e-10")
+    return SteadyState(np.clip(pi, 0.0, None))
+
+
+def reachable_steady_state(tm: TransitionMatrix, start: int = 0) -> SteadyState:
+    """Stationary distribution of the chain as run from `start`.
+
+    The set of states reachable from `start` is closed, so the process
+    started there has a well-defined long-run distribution supported on
+    that set even when the full matrix is reducible in floating point
+    (charging probabilities underflow at low source power). The
+    restricted chain is solved with GTH elimination, which uses no
+    subtractions and therefore keeps full relative accuracy however
+    stiff the chain is. On a healthy irreducible chain this agrees with
+    `steady_state` to solver precision.
+    """
+    z = tm.z
+    n = z.shape[0]
+    if not 0 <= start < n:
+        raise ValidationError(f"start must be a state index in 0..{n - 1}, got {start!r}")
+    reach = _reachable_from(z > 0.0, start)
+    idx = np.flatnonzero(reach)
+    sub = z[np.ix_(idx, idx)]
+    pi = np.zeros(n)
+    pi[idx] = _gth_stationary(sub)
+    return SteadyState(pi)
+
+
+def _gth_stationary(z: np.ndarray) -> np.ndarray:
+    """GTH (state-elimination) stationary solve of a stochastic matrix."""
+    n = z.shape[0]
+    if n == 1:
+        return np.ones(1)
+    p = z.astype(float, copy=True)
+    for k in range(n - 1, 0, -1):
+        s = p[k, :k].sum()
+        if not s > 0.0:
+            raise NumericalError(
+                f"GTH elimination hit a zero pivot at state {k}; the restricted "
+                "chain is not irreducible"
+            )
+        p[:k, k] /= s
+        p[:k, :k] += np.outer(p[:k, k], p[k, :k])
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = pi[:k] @ p[:k, k]
+        # visit counts relative to state 0 can dwarf the float range when
+        # state 0 is almost never seen; rescaling preserves their ratios
+        if pi[k] > 1e250:
+            pi[:k + 1] /= pi[k]
+    total = pi.sum()
+    return pi / total
+
+
+def _reachable_from(adj: np.ndarray, start: int) -> np.ndarray:
+    n = adj.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    seen[start] = True
+    frontier = seen.copy()
+    while frontier.any():
+        nxt = adj[frontier].any(axis=0) & ~seen
+        seen |= nxt
+        frontier = nxt
+    return seen
+
+
+def _strongly_connected(adj: np.ndarray) -> bool:
+    """Every state reachable from state 0 and vice versa on the nonzero pattern."""
+    return bool(_reachable_from(adj, 0).all()) and bool(_reachable_from(adj.T, 0).all())

@@ -1,0 +1,198 @@
+"""Link statistics and fading samplers for the three-node relay network.
+
+The source-relay link sees independent Rician fading on each relay
+antenna; the relay-destination and source-destination links are
+Rayleigh. Everything here works with channel POWER gains: under
+maximum ratio combining/transmission each SNR in the protocol depends
+on the channel vector only through ||h||^2, so individual complex
+antenna coefficients are never materialized.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import ValidationError
+from .specfun import DEFAULT_TOL, Tolerance, marcum_q
+
+__all__ = [
+    "SystemParams",
+    "LinkStats",
+    "Thresholds",
+    "FadeSample",
+    "mean_gain",
+    "link_stats",
+    "thresholds",
+    "cdf_h_sd",
+    "cdf_h_sr",
+    "sample_fades",
+    "sample_fade_blocks",
+]
+
+
+@dataclass(frozen=True)
+class SystemParams:
+    """Physical constants of the network, all in linear units."""
+
+    p_s: float         # source transmit power [W]
+    n0: float          # noise power [W]
+    eta: float         # RF-to-DC conversion efficiency, (0, 1]
+    rate: float        # transmission rate [bit/s/Hz]
+    n_antennas: int    # relay antenna count
+    rician_k: float    # Rician K-factor of the source-relay link
+    d_sd: float        # source-destination distance [m]
+    d_sr: float        # source-relay distance [m]
+    d_rd: float        # relay-destination distance [m]
+    alpha: float       # path-loss exponent, in [2, 5]
+
+    def __post_init__(self):
+        if not self.p_s > 0.0:
+            raise ValidationError(f"p_s must be > 0, got {self.p_s!r}")
+        if not self.n0 > 0.0:
+            raise ValidationError(f"n0 must be > 0, got {self.n0!r}")
+        if not 0.0 < self.eta <= 1.0:
+            raise ValidationError(f"eta must be in (0, 1], got {self.eta!r}")
+        if not self.rate > 0.0:
+            raise ValidationError(f"rate must be > 0, got {self.rate!r}")
+        if not (isinstance(self.n_antennas, int) and self.n_antennas >= 1):
+            raise ValidationError(f"n_antennas must be an integer >= 1, got {self.n_antennas!r}")
+        if not self.rician_k >= 0.0:
+            raise ValidationError(f"rician_k must be >= 0, got {self.rician_k!r}")
+        for name in ("d_sd", "d_sr", "d_rd"):
+            if not getattr(self, name) > 0.0:
+                raise ValidationError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        if not 2.0 <= self.alpha <= 5.0:
+            raise ValidationError(f"alpha must be in [2, 5], got {self.alpha!r}")
+
+
+@dataclass(frozen=True)
+class LinkStats:
+    """Mean channel power gains (per antenna element) of the three links."""
+
+    omega_sd: float
+    omega_sr: float
+    omega_rd: float
+
+    def __post_init__(self):
+        for name in ("omega_sd", "omega_sr", "omega_rd"):
+            if not getattr(self, name) > 0.0:
+                raise ValidationError(f"{name} must be > 0, got {getattr(self, name)!r}")
+
+
+@dataclass(frozen=True)
+class Thresholds:
+    """SNR decode thresholds: gamma1 for a single slot carrying a fresh
+    packet, gamma2 for the same packet repeated over both slots."""
+
+    gamma1: float
+    gamma2: float
+
+    def __post_init__(self):
+        if not 0.0 < self.gamma1 < self.gamma2:
+            raise ValidationError(
+                f"need 0 < gamma1 < gamma2, got {self.gamma1!r}, {self.gamma2!r}"
+            )
+        expected = self.gamma1 * self.gamma1 + 2.0 * self.gamma1
+        if abs(self.gamma2 - expected) > 1e-9 * max(1.0, expected):
+            raise ValidationError(
+                f"gamma2 must equal gamma1^2 + 2*gamma1 (same rate for both "
+                f"slot layouts), got {self.gamma2!r} vs {expected!r}"
+            )
+
+
+@dataclass(frozen=True)
+class FadeSample:
+    """Channel power gains drawn for one transmission block."""
+
+    h_sd: float
+    h_sr: float  # ||h_SR||^2 summed over antennas
+    h_rd: float  # ||h_RD||^2 summed over antennas
+
+    def __post_init__(self):
+        for name in ("h_sd", "h_sr", "h_rd"):
+            if not getattr(self, name) >= 0.0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+
+
+def mean_gain(d: float, alpha: float) -> float:
+    """Mean channel power gain (1 + d^alpha)^-1 at distance d."""
+    if not d > 0.0:
+        raise ValidationError(f"distance must be > 0, got {d!r}")
+    if not 2.0 <= alpha <= 5.0:
+        raise ValidationError(f"alpha must be in [2, 5], got {alpha!r}")
+    return 1.0 / (1.0 + d**alpha)
+
+
+def link_stats(params: SystemParams) -> LinkStats:
+    """Mean gains of the three links from the node geometry."""
+    return LinkStats(
+        omega_sd=mean_gain(params.d_sd, params.alpha),
+        omega_sr=mean_gain(params.d_sr, params.alpha),
+        omega_rd=mean_gain(params.d_rd, params.alpha),
+    )
+
+
+def thresholds(rate: float) -> Thresholds:
+    """Decode thresholds gamma1 = 2^rate - 1 and gamma2 = 2^(2 rate) - 1."""
+    if not rate > 0.0:
+        raise ValidationError(f"rate must be > 0, got {rate!r}")
+    return Thresholds(gamma1=2.0**rate - 1.0, gamma2=2.0 ** (2.0 * rate) - 1.0)
+
+
+def cdf_h_sd(x: float, omega_sd: float) -> float:
+    """CDF of the Rayleigh-faded direct-link power gain: 1 - exp(-x/omega)."""
+    if not x >= 0.0:
+        raise ValidationError(f"x must be >= 0, got {x!r}")
+    return -math.expm1(-x / omega_sd)
+
+
+def cdf_h_sr(x: float, params: SystemParams, omega_sr: float,
+             tol: Tolerance = DEFAULT_TOL) -> float:
+    """CDF of the N-antenna Rician source-relay power gain.
+
+    F(x) = 1 - Q_N(sqrt(2 N K), sqrt(2 (K+1) x / omega_sr)) with the
+    per-antenna K-factor and per-antenna mean gain omega_sr.
+    """
+    if not x >= 0.0:
+        raise ValidationError(f"x must be >= 0, got {x!r}")
+    if x == 0.0:
+        return 0.0
+    n = params.n_antennas
+    k = params.rician_k
+    a = math.sqrt(2.0 * n * k)
+    b = math.sqrt(2.0 * (k + 1.0) * x / omega_sr)
+    return min(1.0, max(0.0, 1.0 - marcum_q(n, a, b, tol)))
+
+
+def sample_fade_blocks(params: SystemParams, links: LinkStats,
+                       rng: np.random.Generator, n: int):
+    """Draw n independent block fades for all three links at once.
+
+    Returns (h_sd, h_sr, h_rd) arrays of length n. Consumption order of
+    the stream is fixed (h_sd, then h_rd, then per-antenna normal pairs
+    for h_sr), so a given seed always yields the same fades. Each
+    antenna contributes |mu + sigma (g1 + i g2)|^2 to h_sr with
+    mu^2 = K omega_sr / (K+1) and 2 sigma^2 = omega_sr / (K+1), which
+    reproduces cdf_h_sr and gives E[h_sr] = n_antennas * omega_sr.
+    """
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n!r}")
+    h_sd = rng.exponential(links.omega_sd, size=n)
+    h_rd = rng.gamma(shape=params.n_antennas, scale=links.omega_rd, size=n)
+    k = params.rician_k
+    mu = math.sqrt(k * links.omega_sr / (k + 1.0))
+    sigma = math.sqrt(links.omega_sr / (2.0 * (k + 1.0)))
+    h_sr = np.zeros(n)
+    for _ in range(params.n_antennas):
+        g1 = rng.standard_normal(n)
+        g2 = rng.standard_normal(n)
+        h_sr += (mu + sigma * g1) ** 2 + (sigma * g2) ** 2
+    return h_sd, h_sr, h_rd
+
+
+def sample_fades(params: SystemParams, links: LinkStats,
+                 rng: np.random.Generator) -> FadeSample:
+    """Draw the fade triple for a single transmission block."""
+    h_sd, h_sr, h_rd = sample_fade_blocks(params, links, rng, 1)
+    return FadeSample(h_sd=float(h_sd[0]), h_sr=float(h_sr[0]), h_rd=float(h_rd[0]))
