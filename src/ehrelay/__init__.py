@@ -12,7 +12,7 @@ from .specfun import DEFAULT_TOL, Tolerance, lower_incomplete_gamma, marcum_q
 from .channel import (FadeSample, LinkStats, SystemParams, Thresholds,
                       cdf_h_sd, cdf_h_sr, link_stats, mean_gain,
                       sample_fade_blocks, sample_fades, thresholds)
-from .battery import (BatteryConfig, SteadyState, TransitionMatrix,
+from .battery import (BatteryConfig, ChainFamily, SteadyState, TransitionMatrix,
                       build_transition_matrix, discretize_harvest,
                       reachable_steady_state, steady_state)
 from .outage import (MeanSnrs, OutageBreakdown, direct_baseline,
@@ -25,6 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BatteryConfig",
     "BlockOutcome",
+    "ChainFamily",
     "DEFAULT_TOL",
     "FadeSample",
     "LinkStats",

@@ -7,15 +7,16 @@ probabilities come from the source-relay gain CDF at one-level energy
 multiples. At or above the threshold the relay spends the first slot
 decoding: it either harvests over half a block (direct link up) or
 discharges by exactly the threshold level count (direct link down).
+Only the discharge depends on the threshold, so `ChainFamily` builds
+the CDF tables once and hands out the matrix of any threshold level.
 
-Two stationary solvers are provided. `steady_state` is the rank-one
-corrected linear solve; it refuses reducible or near-singular systems.
-`reachable_steady_state` is the robust pipeline solver: it restricts
-the chain to the closed class reachable from the empty battery and
-eliminates it GTH-style, which stays accurate even when charging
-probabilities are so small that the linear solve is hopelessly
-ill-conditioned (a real regime here: at low source power the level
+Stationary laws come from GTH (state-elimination) solves, which use no
+subtractions and so keep full relative accuracy however stiff the
+chain is (a real regime here: at low source power the level
 discretization rounds essentially every harvest to zero).
+`reachable_steady_state` solves the closed class reachable from the
+empty battery; `steady_state` first checks that the whole chain is
+irreducible and refuses it otherwise.
 """
 
 import math
@@ -25,10 +26,10 @@ import numpy as np
 
 from .channel import LinkStats, SystemParams, Thresholds, cdf_h_sd, cdf_h_sr
 from .errors import NumericalError, ValidationError
-from .specfun import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "BatteryConfig",
+    "ChainFamily",
     "TransitionMatrix",
     "SteadyState",
     "discretize_harvest",
@@ -36,12 +37,6 @@ __all__ = [
     "steady_state",
     "reachable_steady_state",
 ]
-
-# refined double-precision solves carry error of roughly cond * 1e-19;
-# past this condition estimate they can no longer honor the 1e-9
-# accuracy the steady state is tested at
-_COND_LIMIT = 1e9
-
 
 @dataclass(frozen=True)
 class BatteryConfig:
@@ -57,6 +52,9 @@ class BatteryConfig:
     eps_t_level: int = field(init=False)
 
     def __post_init__(self):
+        for name in ("capacity", "e_t"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.capacity > 0.0:
             raise ValidationError(f"capacity must be > 0, got {self.capacity!r}")
         if not (isinstance(self.levels, int) and self.levels >= 1):
@@ -134,77 +132,80 @@ def discretize_harvest(e_h: float, cfg: BatteryConfig) -> int:
     return min(max(level, 0), cfg.levels)
 
 
-def _sr_cdf_tables(params: SystemParams, links: LinkStats, cfg: BatteryConfig,
-                   tol: Tolerance):
-    """Source-relay CDF evaluated on the level grid: full-block and
-    half-block harvest thresholds. Independent of e_t, so threshold
-    searches can reuse one pair of tables."""
-    unit = cfg.capacity / (params.eta * params.p_s * cfg.levels)
-    f_full = np.array([cdf_h_sr(j * unit, params, links.omega_sr, tol)
-                       for j in range(cfg.levels + 1)])
-    f_half = np.array([cdf_h_sr(2.0 * j * unit, params, links.omega_sr, tol)
-                       for j in range(cfg.levels + 1)])
-    return f_full, f_half
+class ChainFamily:
+    """Battery transition matrices of one link setup for every threshold level.
 
+    The source-relay CDF on the level grid (full-block and half-block
+    harvest) and the direct-link failure probability do not depend on
+    the threshold, so they are evaluated once here and shared by every
+    `matrix(k)`.
+    """
 
-def _assemble_matrix(f_full: np.ndarray, f_half: np.ndarray, fail_direct: float,
-                     k_thr: int) -> np.ndarray:
-    ell = len(f_full) - 1
-    z = np.zeros((ell + 1, ell + 1))
-    for i in range(ell + 1):
-        gaps = np.arange(ell - i)
-        if i < k_thr:
-            z[i, i:ell] = f_full[gaps + 1] - f_full[gaps]
-            z[i, ell] = 1.0 - f_full[ell - i]
-        else:
-            keep = 1.0 - fail_direct
-            z[i, i:ell] = keep * (f_half[gaps + 1] - f_half[gaps])
-            z[i, ell] = keep * (1.0 - f_half[ell - i])
-            z[i, i - k_thr] = fail_direct
-    return z
+    def __init__(self, params: SystemParams, links: LinkStats, thr: Thresholds,
+                 capacity: float, levels: int):
+        if not (isinstance(levels, int) and levels >= 1):
+            raise ValidationError(f"levels must be an integer >= 1, got {levels!r}")
+        if not 0.0 < capacity < math.inf:
+            raise ValidationError(f"capacity must be finite and > 0, got {capacity!r}")
+        unit = capacity / (params.eta * params.p_s * levels)
+        self.levels = levels
+        self.f_full = np.array([cdf_h_sr(j * unit, params, links.omega_sr)
+                                for j in range(levels + 1)])
+        self.f_half = np.array([cdf_h_sr(2.0 * j * unit, params, links.omega_sr)
+                                for j in range(levels + 1)])
+        self.fail_direct = cdf_h_sd(thr.gamma1 * params.n0 / params.p_s, links.omega_sd)
 
+    def matrix(self, k_thr: int) -> TransitionMatrix:
+        """Transition matrix when a cooperative block drains k_thr levels.
 
-def _finish_matrix(z: np.ndarray) -> TransitionMatrix:
-    worst = np.abs(z.sum(axis=1) - 1.0).max()
-    if worst > 1e-9:
-        raise NumericalError(
-            f"transition rows do not partition probability space, worst row-sum "
-            f"deviation {worst:.3e}"
-        )
-    np.clip(z, 0.0, 1.0, out=z)
-    return TransitionMatrix(z)
+        Charging entries depend on the current level only through the
+        gap to the target level, so rows are filled from increments of
+        the CDF tables. The discharge entry sits exactly k_thr below the
+        diagonal with the direct-link failure probability as its mass.
+
+        Rows are checked, never renormalized: a row deviating from 1 by
+        more than 1e-9 means the transition cases no longer partition
+        the probability space, which is a NumericalError.
+        """
+        ell = self.levels
+        if not 1 <= k_thr <= ell:
+            raise ValidationError(f"threshold level must be in 1..{ell}, got {k_thr!r}")
+        f_full, f_half, fail_direct = self.f_full, self.f_half, self.fail_direct
+        z = np.zeros((ell + 1, ell + 1))
+        for i in range(ell + 1):
+            gaps = np.arange(ell - i)
+            if i < k_thr:
+                z[i, i:ell] = f_full[gaps + 1] - f_full[gaps]
+                z[i, ell] = 1.0 - f_full[ell - i]
+            else:
+                keep = 1.0 - fail_direct
+                z[i, i:ell] = keep * (f_half[gaps + 1] - f_half[gaps])
+                z[i, ell] = keep * (1.0 - f_half[ell - i])
+                z[i, i - k_thr] = fail_direct
+        worst = np.abs(z.sum(axis=1) - 1.0).max()
+        if worst > 1e-9:
+            raise NumericalError(
+                f"transition rows do not partition probability space, worst row-sum "
+                f"deviation {worst:.3e}"
+            )
+        np.clip(z, 0.0, 1.0, out=z)
+        return TransitionMatrix(z)
 
 
 def build_transition_matrix(params: SystemParams, links: LinkStats, thr: Thresholds,
-                            cfg: BatteryConfig, tol: Tolerance = DEFAULT_TOL) -> TransitionMatrix:
-    """Assemble the battery transition matrix for one configuration.
-
-    Charging entries depend on the current level only through the gap
-    to the target level, so the source-relay CDF is evaluated once per
-    gap and rows are filled from the increments. The discharge entry
-    sits exactly eps_t_level below the diagonal with the direct-link
-    failure probability as its mass.
-
-    Rows are checked, never renormalized: a row deviating from 1 by
-    more than 1e-9 means the transition cases no longer partition the
-    probability space, which is a NumericalError.
-    """
-    f_full, f_half = _sr_cdf_tables(params, links, cfg, tol)
-    fail_direct = cdf_h_sd(thr.gamma1 * params.n0 / params.p_s, links.omega_sd)
-    return _finish_matrix(_assemble_matrix(f_full, f_half, fail_direct, cfg.eps_t_level))
+                            cfg: BatteryConfig) -> TransitionMatrix:
+    """Battery transition matrix for one configuration (see ChainFamily.matrix)."""
+    return ChainFamily(params, links, thr, cfg.capacity, cfg.levels).matrix(cfg.eps_t_level)
 
 
 def steady_state(tm: TransitionMatrix) -> SteadyState:
-    """Stationary distribution via the rank-one corrected linear solve.
+    """Stationary distribution of an irreducible chain.
 
-    Solves (Z^T - I + B) pi = b with B the all-ones matrix and b the
-    all-ones vector; any solution automatically satisfies sum(pi) = 1.
-    A reachability scan over the nonzero pattern runs first, and a
-    condition estimate above _COND_LIMIT aborts: both indicate a chain
-    that is reducible (exactly or to working precision), for which this
-    solve cannot return an answer accurate to the 1e-9 the test suite
-    holds it to. Stiff-but-representable chains remain solvable through
-    `reachable_steady_state`, which has no such limit.
+    A reachability scan over the nonzero pattern refuses a reducible
+    chain (`reachable_steady_state` gives the law of such a chain as
+    run from a chosen state). The irreducible chain is then solved by
+    GTH elimination, and a fixed-point residual above 1e-10 is a
+    NumericalError.
     """
     z = tm.z
     if not _strongly_connected(z > 0.0):
@@ -212,28 +213,11 @@ def steady_state(tm: TransitionMatrix) -> SteadyState:
             "transition matrix is reducible: some battery states are unreachable "
             "(vanishing harvest or direct-link probabilities for this configuration)"
         )
-    n = z.shape[0]
-    a = z.T - np.eye(n) + np.ones((n, n))
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise NumericalError(
-            f"steady-state system is near-singular (condition estimate {cond:.3e}); "
-            "the chain is reducible to working precision"
-        )
-    b = np.ones(n)
-    pi = np.linalg.solve(a, b)
-    # two refinement steps with extended-precision residuals recover the
-    # digits the plain solve loses on stiff (large-condition) chains
-    a_ld = a.astype(np.longdouble)
-    for _ in range(2):
-        residual_ld = b - a_ld @ pi.astype(np.longdouble)
-        pi = pi + np.linalg.solve(a, residual_ld.astype(float))
-    if pi.min() < -1e-12:
-        raise NumericalError(f"steady-state solve produced negative mass {pi.min():.3e}")
-    residual = np.abs(z.T @ pi - pi).max()
+    ss = reachable_steady_state(tm)
+    residual = np.abs(z.T @ ss.pi - ss.pi).max()
     if residual > 1e-10:
         raise NumericalError(f"steady-state fixed-point residual {residual:.3e} exceeds 1e-10")
-    return SteadyState(np.clip(pi, 0.0, None))
+    return ss
 
 
 def reachable_steady_state(tm: TransitionMatrix, start: int = 0) -> SteadyState:
@@ -245,8 +229,7 @@ def reachable_steady_state(tm: TransitionMatrix, start: int = 0) -> SteadyState:
     (charging probabilities underflow at low source power). The
     restricted chain is solved with GTH elimination, which uses no
     subtractions and therefore keeps full relative accuracy however
-    stiff the chain is. On a healthy irreducible chain this agrees with
-    `steady_state` to solver precision.
+    stiff the chain is. On an irreducible chain this is `steady_state`.
     """
     z = tm.z
     n = z.shape[0]

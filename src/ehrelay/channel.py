@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .specfun import DEFAULT_TOL, Tolerance, marcum_q
+from .specfun import marcum_q
 
 __all__ = [
     "SystemParams",
@@ -47,6 +47,9 @@ class SystemParams:
     alpha: float       # path-loss exponent, in [2, 5]
 
     def __post_init__(self):
+        for name in ("p_s", "n0", "eta", "rate", "rician_k", "d_sd", "d_sr", "d_rd", "alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.p_s > 0.0:
             raise ValidationError(f"p_s must be > 0, got {self.p_s!r}")
         if not self.n0 > 0.0:
@@ -147,8 +150,7 @@ def cdf_h_sd(x: float, omega_sd: float) -> float:
     return -math.expm1(-x / omega_sd)
 
 
-def cdf_h_sr(x: float, params: SystemParams, omega_sr: float,
-             tol: Tolerance = DEFAULT_TOL) -> float:
+def cdf_h_sr(x: float, params: SystemParams, omega_sr: float) -> float:
     """CDF of the N-antenna Rician source-relay power gain.
 
     F(x) = 1 - Q_N(sqrt(2 N K), sqrt(2 (K+1) x / omega_sr)) with the
@@ -162,7 +164,7 @@ def cdf_h_sr(x: float, params: SystemParams, omega_sr: float,
     k = params.rician_k
     a = math.sqrt(2.0 * n * k)
     b = math.sqrt(2.0 * (k + 1.0) * x / omega_sr)
-    return min(1.0, max(0.0, 1.0 - marcum_q(n, a, b, tol)))
+    return min(1.0, max(0.0, 1.0 - marcum_q(n, a, b)))
 
 
 def sample_fade_blocks(params: SystemParams, links: LinkStats,

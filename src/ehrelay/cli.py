@@ -7,6 +7,7 @@ back to the defaults below.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -51,6 +52,17 @@ _FLOAT_KEYS = {"p_s_dbm", "n0_dbm", "eta", "rate", "rician_k", "d_sd", "d_sr",
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
+
+
+def _key_watts(key: str, dbm: float) -> float:
+    """dbm_to_watts for config key `key`, refusing powers outside the float range."""
+    try:
+        watts = dbm_to_watts(dbm)
+    except OverflowError:
+        watts = math.inf
+    if not 0.0 < watts < math.inf:
+        raise ValidationError(f"{key} = {dbm!r} dBm is outside the float range in watts")
+    return watts
 
 
 @dataclass(frozen=True)
@@ -140,6 +152,9 @@ def _parse_flat_file(text: str) -> dict:
             raise ValidationError(
                 f"could not parse value for {key!r}: {val!r} (line {lineno})"
             ) from None
+        parsed = values[key] if key in _GRID_KEYS else (values[key],)
+        if not all(map(math.isfinite, parsed)):
+            raise ValidationError(f"{key!r} must be finite, got {val!r} (line {lineno})")
     return values
 
 
@@ -147,9 +162,11 @@ def _spec_from_values(overrides: dict) -> SweepSpec:
     grids = {k: overrides.pop(k) for k in list(overrides) if k in _GRID_KEYS}
     merged = dict(DEFAULTS)
     merged.update(overrides)
+    for value in grids.get("p_s_dbm_grid", ()):
+        _key_watts("p_s_dbm_grid", value)
     params = SystemParams(
-        p_s=dbm_to_watts(merged["p_s_dbm"]),
-        n0=dbm_to_watts(merged["n0_dbm"]),
+        p_s=_key_watts("p_s_dbm", merged["p_s_dbm"]),
+        n0=_key_watts("n0_dbm", merged["n0_dbm"]),
         eta=merged["eta"],
         rate=merged["rate"],
         n_antennas=merged["n_antennas"],
@@ -199,7 +216,7 @@ def _solve_point(params: SystemParams, battery: BatteryConfig):
     thr = thresholds(params.rate)
     tm = build_transition_matrix(params, links, thr, battery)
     pi = reachable_steady_state(tm)
-    return links, thr, pi
+    return links, thr, tm, pi
 
 
 def _run_point(spec: SweepSpec, index: int, value: float) -> SweepRow:
@@ -217,7 +234,7 @@ def _run_point(spec: SweepSpec, index: int, value: float) -> SweepRow:
                                               battery.capacity, battery.levels)
         battery = replace(battery, e_t=optimal_level * battery.capacity / battery.levels)
 
-    links, thr, pi = _solve_point(params, battery)
+    links, thr, _, pi = _solve_point(params, battery)
     breakdown = outage_probability(params, links, thr, battery, pi)
     mc_outage = mc_stderr = None
     if spec.include_mc:
@@ -325,7 +342,7 @@ def _load_base(config_path) -> SweepSpec:
 
 def _cmd_analyze(args) -> int:
     spec = _load_base(args.config)
-    links, thr, pi = _solve_point(spec.params, spec.battery)
+    links, thr, _, pi = _solve_point(spec.params, spec.battery)
     breakdown = outage_probability(spec.params, links, thr, spec.battery, pi)
     print(f"p_e             {breakdown.p_e:.9e}")
     print(f"p_mode3_joint   {breakdown.p_mode3_joint:.9e}")
@@ -380,10 +397,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_dump_chain(args) -> int:
     spec = _load_base(args.config)
-    links = link_stats(spec.params)
-    thr = thresholds(spec.params.rate)
-    tm = build_transition_matrix(spec.params, links, thr, spec.battery)
-    pi = reachable_steady_state(tm)
+    _, _, tm, pi = _solve_point(spec.params, spec.battery)
     _write_matrix_csv(tm.z, args.out_z)
     _write_matrix_csv(pi.pi, args.out_pi)
     print(f"wrote {args.out_z} and {args.out_pi}")

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .battery import (BatteryConfig, SteadyState, _assemble_matrix, _finish_matrix,
-                      _sr_cdf_tables, reachable_steady_state)
+from .battery import BatteryConfig, ChainFamily, SteadyState, reachable_steady_state
 from .channel import LinkStats, SystemParams, Thresholds, cdf_h_sd, cdf_h_sr
 from .errors import NumericalError, ValidationError
-from .specfun import DEFAULT_TOL, Tolerance, lower_incomplete_gamma, _log_poisson_pmf
+from .specfun import lower_incomplete_gamma, poisson_mean_inverse_shift
 
 __all__ = [
     "MeanSnrs",
@@ -80,38 +79,8 @@ def energy_sufficiency(pi: SteadyState, cfg: BatteryConfig) -> float:
     return float(np.sum(pi.pi[cfg.eps_t_level:]))
 
 
-def _poisson_mean_inverse_shift(mu: float, shift: float, tol: Tolerance) -> float:
-    """E[1 / (shift + Poisson(mu))] for mu >= 0, shift >= 1."""
-    if mu == 0.0:
-        return 1.0 / shift
-    if mu > 1e3:
-        # concentration expansion in the central moments; the omitted term
-        # is O(mu^-3) relative, far below every tolerance in play here
-        m = shift + mu
-        return 1.0 / m + mu / m**3 - mu / m**4 + (3.0 * mu * mu + mu) / m**5
-    n0 = int(mu)
-    p = math.exp(_log_poisson_pmf(n0, mu))
-    total = p / (shift + n0)
-    weight = p
-    p_hi, n_hi = p, n0
-    p_lo, n_lo = p, n0
-    for _ in range(tol.max_terms):
-        if 1.0 - weight < 1e-13:
-            return total
-        n_hi += 1
-        p_hi *= mu / n_hi
-        total += p_hi / (shift + n_hi)
-        weight += p_hi
-        if n_lo > 0:
-            p_lo *= n_lo / mu
-            n_lo -= 1
-            total += p_lo / (shift + n_lo)
-            weight += p_lo
-    raise NumericalError(f"Poisson average stalled at mu={mu}, shift={shift}")
-
-
 def _exp_weighted_moments(g1: float, g2: float, gsd: float, grd: float,
-                          count: int, tol: Tolerance) -> list:
+                          count: int) -> list:
     """J_k = exp(-g2/grd) * integral_0^g1 exp(-c u) u^k du for k < count,
     with c = (grd - gsd) / (gsd * grd).
 
@@ -142,18 +111,17 @@ def _exp_weighted_moments(g1: float, g2: float, gsd: float, grd: float,
     elif c > 0.0:
         w = math.exp(-g2 / grd)
         for k in range(count):
-            out.append(w * lower_incomplete_gamma(k + 1.0, z, tol) / c ** (k + 1))
+            out.append(w * lower_incomplete_gamma(k + 1.0, z) / c ** (k + 1))
     else:
         d = -c
         w = math.exp(-(g2 - g1) / grd - g1 / gsd)
         for k in range(count):
-            avg = _poisson_mean_inverse_shift(d * g1, k + 1.0, tol)
+            avg = poisson_mean_inverse_shift(d * g1, k + 1.0)
             out.append(w * g1 ** (k + 1) * avg)
     return out
 
 
-def mode4_joint_cdf(thr: Thresholds, snrs: MeanSnrs, n_antennas: int,
-                    tol: Tolerance = DEFAULT_TOL) -> float:
+def mode4_joint_cdf(thr: Thresholds, snrs: MeanSnrs, n_antennas: int) -> float:
     """Pr{(gamma_SD + gamma_RD < gamma2) and (gamma_SD < gamma1)}.
 
     gamma_SD is exponential with mean gbar_sd; gamma_RD is the sum of
@@ -172,7 +140,7 @@ def mode4_joint_cdf(thr: Thresholds, snrs: MeanSnrs, n_antennas: int,
     g1, g2 = thr.gamma1, thr.gamma2
     gsd, grd = snrs.gbar_sd, snrs.gbar_rd
     direct_fail = -math.expm1(-g1 / gsd)
-    moments = _exp_weighted_moments(g1, g2, gsd, grd, n_antennas, tol)
+    moments = _exp_weighted_moments(g1, g2, gsd, grd, n_antennas)
     total = 0.0
     for p in range(n_antennas):
         inner = 0.0
@@ -183,8 +151,7 @@ def mode4_joint_cdf(thr: Thresholds, snrs: MeanSnrs, n_antennas: int,
 
 
 def outage_probability(params: SystemParams, links: LinkStats, thr: Thresholds,
-                       cfg: BatteryConfig, pi: SteadyState,
-                       tol: Tolerance = DEFAULT_TOL) -> OutageBreakdown:
+                       cfg: BatteryConfig, pi: SteadyState) -> OutageBreakdown:
     """Total outage probability for a solved battery steady state.
 
     pi must be the stationary distribution of the chain built from the
@@ -192,9 +159,8 @@ def outage_probability(params: SystemParams, links: LinkStats, thr: Thresholds,
     """
     p_e = energy_sufficiency(pi, cfg)
     f_direct = cdf_h_sd(thr.gamma1 * params.n0 / params.p_s, links.omega_sd)
-    f_relay_decode = cdf_h_sr(thr.gamma2 * params.n0 / params.p_s, params,
-                              links.omega_sr, tol)
-    m4 = mode4_joint_cdf(thr, mean_snrs(params, links, cfg), params.n_antennas, tol)
+    f_relay_decode = cdf_h_sr(thr.gamma2 * params.n0 / params.p_s, params, links.omega_sr)
+    m4 = mode4_joint_cdf(thr, mean_snrs(params, links, cfg), params.n_antennas)
     p_mode3 = (1.0 - p_e) * f_direct
     p_mode4 = p_e * ((1.0 - f_relay_decode) * m4 + f_direct * f_relay_decode)
     return OutageBreakdown(
@@ -212,31 +178,24 @@ def direct_baseline(params: SystemParams, links: LinkStats, thr: Thresholds) -> 
 
 
 def optimize_threshold(params: SystemParams, links: LinkStats, thr: Thresholds,
-                       capacity: float, levels: int,
-                       tol: Tolerance = DEFAULT_TOL) -> tuple:
+                       capacity: float, levels: int) -> tuple:
     """Exhaustive search of the threshold level minimizing total outage.
 
     Evaluates every candidate e_t = k * capacity / levels, k = 1..levels,
-    rebuilding the chain each time (the source-relay CDF tables do not
-    depend on the threshold, so they are computed once and shared).
-    Returns (best level, best outage); the smallest level wins ties.
+    taking each candidate's chain from one ChainFamily, so the CDF tables
+    are computed once. Returns (best level, best outage); the smallest
+    level wins ties.
     Candidates that fail numerically are skipped with a warning.
     """
-    if levels < 1:
-        raise ValidationError(f"levels must be >= 1, got {levels!r}")
-    probe = BatteryConfig(capacity=capacity, levels=levels, e_t=capacity / levels)
-    f_full, f_half = _sr_cdf_tables(params, links, probe, tol)
-    fail_direct = cdf_h_sd(thr.gamma1 * params.n0 / params.p_s, links.omega_sd)
+    family = ChainFamily(params, links, thr, capacity, levels)
     best_level = None
     best_outage = None
     for k in range(1, levels + 1):
         try:
             cfg = BatteryConfig(capacity=capacity, levels=levels,
                                 e_t=k * capacity / levels)
-            tm = _finish_matrix(_assemble_matrix(f_full, f_half, fail_direct,
-                                                 cfg.eps_t_level))
-            pi = reachable_steady_state(tm)
-            p_out = outage_probability(params, links, thr, cfg, pi, tol).p_out
+            pi = reachable_steady_state(family.matrix(cfg.eps_t_level))
+            p_out = outage_probability(params, links, thr, cfg, pi).p_out
         except NumericalError as exc:
             warnings.warn(f"threshold level {k} skipped: {exc}", stacklevel=2)
             continue

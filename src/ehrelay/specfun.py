@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .errors import NumericalError, ValidationError
 
-__all__ = ["Tolerance", "DEFAULT_TOL", "marcum_q", "lower_incomplete_gamma"]
+__all__ = ["Tolerance", "DEFAULT_TOL", "marcum_q", "lower_incomplete_gamma",
+           "poisson_mean_inverse_shift"]
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,36 @@ def _poisson_cdf(k: int, mu: float) -> float:
         term *= mu / j
         total += term
     return min(total, 1.0)
+
+
+def poisson_mean_inverse_shift(mu: float, shift: float, tol: Tolerance = DEFAULT_TOL) -> float:
+    """E[1 / (shift + Poisson(mu))] for mu >= 0, shift >= 1."""
+    if mu == 0.0:
+        return 1.0 / shift
+    if mu > 1e3:
+        # concentration expansion in the central moments; the omitted term
+        # is O(mu^-3) relative, far below every tolerance in play here
+        m = shift + mu
+        return 1.0 / m + mu / m**3 - mu / m**4 + (3.0 * mu * mu + mu) / m**5
+    n0 = int(mu)
+    p = math.exp(_log_poisson_pmf(n0, mu))
+    total = p / (shift + n0)
+    weight = p
+    p_hi, n_hi = p, n0
+    p_lo, n_lo = p, n0
+    for _ in range(tol.max_terms):
+        if 1.0 - weight < 1e-13:
+            return total
+        n_hi += 1
+        p_hi *= mu / n_hi
+        total += p_hi / (shift + n_hi)
+        weight += p_hi
+        if n_lo > 0:
+            p_lo *= n_lo / mu
+            n_lo -= 1
+            total += p_lo / (shift + n_lo)
+            weight += p_lo
+    raise NumericalError(f"Poisson average stalled at mu={mu}, shift={shift}")
 
 
 def marcum_q(order: int, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -1,6 +1,7 @@
 """Battery chain tests: harvest discretization, the transition matrix
 against an independent case-by-case transcription, and both stationary
-solvers against hand results and a power-iteration oracle."""
+solvers against hand results, a power-iteration oracle and a linear
+solve."""
 
 import math
 
@@ -83,6 +84,13 @@ class TestBatteryConfig:
     def test_rejects_threshold_above_capacity(self):
         with pytest.raises(er.ValidationError, match="discharge"):
             er.BatteryConfig(5e-3, 20, 6e-3)
+
+    @pytest.mark.parametrize("field, value", [("capacity", math.inf), ("capacity", math.nan),
+                                              ("e_t", math.nan), ("e_t", math.inf)])
+    def test_rejects_nonfinite_by_name(self, field, value):
+        fields = {"capacity": 5e-3, "levels": 20, "e_t": 1e-3, field: value}
+        with pytest.raises(er.ValidationError, match=field):
+            er.BatteryConfig(**fields)
 
 
 class TestDiscretizeHarvest:
@@ -168,11 +176,13 @@ class TestTransitionMatrix:
         params = reference_params(p_s_dbm=24.0)
         links = er.link_stats(params)
         thr = er.thresholds(params.rate)
+        family = er.ChainFamily(params, links, thr, 5e-3, 20)
         for k in range(1, 21):
             cfg = er.BatteryConfig(5e-3, 20, k * 2.5e-4)
             assert cfg.eps_t_level == k
             z = er.build_transition_matrix(params, links, thr, cfg).z
             assert np.abs(z.sum(axis=1) - 1.0).max() < 1e-9
+            assert np.array_equal(family.matrix(k).z, z)
 
     def test_type_validation(self):
         with pytest.raises(er.ValidationError):
@@ -228,9 +238,11 @@ class TestReachableSteadyState:
             links = er.link_stats(params)
             thr = er.thresholds(params.rate)
             tm = er.build_transition_matrix(params, links, thr, reference_battery())
-            a = er.steady_state(tm).pi
+            # rank-one corrected linear solve: (Z^T - I + 1) pi = 1
+            size = tm.z.shape[0]
+            oracle = np.linalg.solve(tm.z.T - np.eye(size) + 1.0, np.ones(size))
             b = er.reachable_steady_state(tm).pi
-            assert np.abs(a - b).max() < 1e-11
+            assert np.abs(oracle - b).max() < 1e-11
 
     def test_frozen_config_concentrates_at_empty(self):
         params = reference_params(p_s_dbm=15.0)

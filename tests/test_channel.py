@@ -151,3 +151,9 @@ class TestParamValidation:
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(er.ValidationError, match="d_rd"):
             reference_params(d_rd=0.0)
+
+    @pytest.mark.parametrize("field", ["p_s", "n0", "rate", "rician_k", "d_sd", "d_sr", "d_rd"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_nonfinite_by_name(self, field, value):
+        with pytest.raises(er.ValidationError, match=field):
+            reference_params(**{field: value})

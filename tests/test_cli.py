@@ -84,6 +84,14 @@ class TestLoadConfig:
         with pytest.raises(er.ValidationError, match="mc_blocks"):
             cli.load_config(write_cfg(tmp_path, "include_mc = true\nmc_blocks = 100\n"))
 
+    @pytest.mark.parametrize("line", ["p_s_dbm = inf", "p_s_dbm = 4000", "capacity = inf",
+                                      "e_t = nan", "n0_dbm = -inf", "d_sd = inf",
+                                      "n0_dbm = -4000", "p_s_dbm_grid = 20,4000"])
+    def test_nonfinite_or_overflowing_value_exits_1_naming_key(self, tmp_path, capsys, line):
+        cfg = write_cfg(tmp_path, line + "\n")
+        assert cli.main(["analyze", "--config", cfg]) == 1
+        assert line.split()[0] in capsys.readouterr().err
+
 
 class TestRunSweep:
     def test_single_point_cross_validates(self, tmp_path):

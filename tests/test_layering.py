@@ -1,0 +1,43 @@
+"""Layering rules of the package, checked on its source: no module
+imports another module's private (underscore) names, and the runtime
+imports nothing outside the standard library and numpy."""
+
+import ast
+import pathlib
+import sys
+
+import pytest
+
+SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "ehrelay").glob("*.py"))
+ALLOWED_THIRD_PARTY = {"numpy"}
+
+
+def imports(path):
+    return [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"battery.py", "cli.py", "outage.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    private = [f"line {node.lineno}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+               for node in imports(path)
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"{path.name} imports private names: {private}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_runtime_imports_only_stdlib_and_numpy(path):
+    tops = []
+    for node in imports(path):
+        if isinstance(node, ast.Import):
+            tops += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
+        elif node.level == 0:
+            tops.append((node.lineno, node.module.split(".")[0]))
+    foreign = [f"line {lineno}: {top}" for lineno, top in tops
+               if top not in sys.stdlib_module_names and top not in ALLOWED_THIRD_PARTY]
+    assert not foreign, f"{path.name} imports outside the stdlib and numpy: {foreign}"
