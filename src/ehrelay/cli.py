@@ -152,9 +152,10 @@ def _parse_flat_file(text: str) -> dict:
             raise ValidationError(
                 f"could not parse value for {key!r}: {val!r} (line {lineno})"
             ) from None
-        parsed = values[key] if key in _GRID_KEYS else (values[key],)
-        if not all(map(math.isfinite, parsed)):
-            raise ValidationError(f"{key!r} must be finite, got {val!r} (line {lineno})")
+        if key in _GRID_KEYS | _FLOAT_KEYS:
+            parsed = values[key] if key in _GRID_KEYS else (values[key],)
+            if not all(map(math.isfinite, parsed)):
+                raise ValidationError(f"{key!r} must be finite, got {val!r} (line {lineno})")
     return values
 
 

@@ -67,7 +67,7 @@ def _poisson_cdf(k: int, mu: float) -> float:
     return min(total, 1.0)
 
 
-def poisson_mean_inverse_shift(mu: float, shift: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def poisson_mean_inverse_shift(mu: float, shift: float) -> float:
     """E[1 / (shift + Poisson(mu))] for mu >= 0, shift >= 1."""
     if mu == 0.0:
         return 1.0 / shift
@@ -82,7 +82,7 @@ def poisson_mean_inverse_shift(mu: float, shift: float, tol: Tolerance = DEFAULT
     weight = p
     p_hi, n_hi = p, n0
     p_lo, n_lo = p, n0
-    for _ in range(tol.max_terms):
+    for _ in range(DEFAULT_TOL.max_terms):
         if 1.0 - weight < 1e-13:
             return total
         n_hi += 1

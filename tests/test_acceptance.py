@@ -84,8 +84,8 @@ def test_criterion_02_steady_state_fixed_point():
         try:
             ss = er.steady_state(tm)
         except er.NumericalError as exc:
-            # sanctioned refusal: the chain is reducible (exactly, or to
-            # working precision) at this configuration
+            # sanctioned refusal: the chain's nonzero pattern is reducible
+            # at this configuration
             assert "reducible" in str(exc)
             skipped += 1
             continue

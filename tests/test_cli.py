@@ -92,6 +92,10 @@ class TestLoadConfig:
         assert cli.main(["analyze", "--config", cfg]) == 1
         assert line.split()[0] in capsys.readouterr().err
 
+    def test_huge_integer_seed_parses(self, tmp_path):
+        seed = int("9" * 400)
+        assert cli.load_config(write_cfg(tmp_path, f"seed = {seed}\n")).seed == seed
+
 
 class TestRunSweep:
     def test_single_point_cross_validates(self, tmp_path):
