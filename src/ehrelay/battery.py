@@ -38,6 +38,10 @@ __all__ = [
     "reachable_steady_state",
 ]
 
+# a chain over L+1 states is a dense (L+1)^2 float64 matrix: 128 MiB at L = 4096
+_MAX_CHAIN_LEVELS = 4096
+
+
 @dataclass(frozen=True)
 class BatteryConfig:
     """Discretized battery with a configured cooperation threshold.
@@ -145,6 +149,11 @@ class ChainFamily:
                  capacity: float, levels: int):
         if not (isinstance(levels, int) and levels >= 1):
             raise ValidationError(f"levels must be an integer >= 1, got {levels!r}")
+        if levels > _MAX_CHAIN_LEVELS:
+            need = (levels + 1) ** 2 * 8 / 2**30
+            raise ValidationError(
+                f"levels={levels} would need a {need:.1f} GiB transition matrix; the "
+                f"analytic chain allows levels <= {_MAX_CHAIN_LEVELS} (128 MiB)")
         if not 0.0 < capacity < math.inf:
             raise ValidationError(f"capacity must be finite and > 0, got {capacity!r}")
         unit = capacity / (params.eta * params.p_s * levels)

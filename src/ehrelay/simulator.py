@@ -7,8 +7,13 @@ directly from sampled fades. Unlike the analysis, the under-charged
 retransmission mode is scored honestly against the doubled-rate
 threshold instead of being assumed lost, so agreement between the two
 paths also validates that assumption.
+
+One recursion records the battery at the start of every block; the
+mode, outage and occupancy counts are vectorized reductions over that
+path. `step` executes a single block and is the per-block reference.
 """
 
+import array
 import enum
 import math
 from dataclasses import dataclass
@@ -113,6 +118,33 @@ def _discretize_many(e_h: np.ndarray, cfg: BatteryConfig) -> np.ndarray:
     return lvl
 
 
+def _battery_path(gain_full: np.ndarray, gain_half: np.ndarray, failed: np.ndarray,
+                  drain, cap) -> np.ndarray:
+    """Battery state at the start of every block, from an empty battery.
+
+    At or above `drain` a failed direct link drains `drain`, otherwise
+    half-block harvest is added; below `drain` the full-block harvest is
+    added; charging saturates at `cap`. Integer gains give levels, float
+    gains joules. An `array.array` holds the path at one machine word per
+    block (a list would hold one Python object each).
+    """
+    integer = gain_full.dtype.kind == "i"
+    path = array.array("q" if integer else "d")
+    record = path.append
+    state = 0 if integer else 0.0
+    for g_full, g_half, down in zip(gain_full.tolist(), gain_half.tolist(),
+                                    failed.tolist()):
+        record(state)
+        if state >= drain:
+            if down:
+                state -= drain
+            else:
+                state = min(state + g_half, cap)
+        else:
+            state = min(state + g_full, cap)
+    return np.frombuffer(path, dtype=np.int64 if integer else np.float64)
+
+
 def simulate(params: SystemParams, links: LinkStats, thr: Thresholds,
              cfg: BatteryConfig, blocks: int, seed: int,
              warmup_blocks: int = 10_000,
@@ -134,81 +166,29 @@ def simulate(params: SystemParams, links: LinkStats, thr: Thresholds,
     if warmup_blocks < 0:
         raise ValidationError(f"warmup_blocks must be >= 0, got {warmup_blocks!r}")
     rng = np.random.default_rng(seed)
-    total = warmup_blocks + blocks
-    h_sd, h_sr, h_rd = sample_fade_blocks(params, links, rng, total)
-
-    failed = _direct_fails(h_sd, params, thr).tolist()
-    retransmit_out = _retransmit_outage(h_sd, params, thr).tolist()
-    if continuous_battery:
-        relay_power = 2.0 * cfg.e_t
-    else:
-        relay_power = 2.0 * (cfg.eps_t_level * cfg.step)
-    forward_out = _forward_outage(h_sd, h_sr, h_rd, relay_power, params, thr).tolist()
+    h_sd, h_sr, h_rd = sample_fade_blocks(params, links, rng, warmup_blocks + blocks)
+    failed = _direct_fails(h_sd, params, thr)
     e_full = _harvest_full(params, h_sr)
-
-    occupancy = [0] * (cfg.levels + 1)
-    n1 = n2 = n3 = n4 = 0
-    out3 = out4 = 0
-
     if continuous_battery:
-        gain_full = e_full.tolist()
-        gain_half = (0.5 * e_full).tolist()
-        cap, e_t = cfg.capacity, cfg.e_t
-        bin_scale = cfg.levels / cfg.capacity
-        energy = 0.0
-        for m in range(total):
-            counted = m >= warmup_blocks
-            if counted:
-                occupancy[min(int(energy * bin_scale), cfg.levels)] += 1
-            if energy >= e_t:
-                if failed[m]:
-                    if counted:
-                        n4 += 1
-                        if forward_out[m]:
-                            out4 += 1
-                    energy -= e_t
-                else:
-                    if counted:
-                        n2 += 1
-                    energy = min(energy + gain_half[m], cap)
-            else:
-                if counted:
-                    if failed[m]:
-                        n3 += 1
-                        if retransmit_out[m]:
-                            out3 += 1
-                    else:
-                        n1 += 1
-                energy = min(energy + gain_full[m], cap)
+        drain, relay_energy = cfg.e_t, cfg.e_t
+        path = _battery_path(e_full, 0.5 * e_full, failed, drain, cfg.capacity)
     else:
-        gain_full = _discretize_many(e_full, cfg).tolist()
-        gain_half = _discretize_many(0.5 * e_full, cfg).tolist()
-        top, k_thr = cfg.levels, cfg.eps_t_level
-        level = 0
-        for m in range(total):
-            counted = m >= warmup_blocks
-            if counted:
-                occupancy[level] += 1
-            if level >= k_thr:
-                if failed[m]:
-                    if counted:
-                        n4 += 1
-                        if forward_out[m]:
-                            out4 += 1
-                    level -= k_thr
-                else:
-                    if counted:
-                        n2 += 1
-                    level = min(level + gain_half[m], top)
-            else:
-                if counted:
-                    if failed[m]:
-                        n3 += 1
-                        if retransmit_out[m]:
-                            out3 += 1
-                    else:
-                        n1 += 1
-                level = min(level + gain_full[m], top)
+        drain, relay_energy = cfg.eps_t_level, cfg.eps_t_level * cfg.step
+        path = _battery_path(_discretize_many(e_full, cfg),
+                             _discretize_many(0.5 * e_full, cfg), failed, drain, cfg.levels)
+
+    measured = slice(warmup_blocks, None)
+    path, failed = path[measured], failed[measured]
+    h_sd, h_sr, h_rd = h_sd[measured], h_sr[measured], h_rd[measured]
+    ready = path >= drain
+    retransmit, forward = ~ready & failed, ready & failed
+    modes = (~ready & ~failed, ready & ~failed, retransmit, forward)
+    out3 = int(np.count_nonzero(_retransmit_outage(h_sd[retransmit], params, thr)))
+    out4 = int(np.count_nonzero(_forward_outage(h_sd[forward], h_sr[forward], h_rd[forward],
+                                                2.0 * relay_energy, params, thr)))
+    if continuous_battery:
+        path = np.minimum((path * (cfg.levels / cfg.capacity)).astype(np.int64), cfg.levels)
+    occupancy = np.bincount(path, minlength=cfg.levels + 1)
 
     outages = out3 + out4
     estimate = outages / blocks
@@ -216,9 +196,9 @@ def simulate(params: SystemParams, links: LinkStats, thr: Thresholds,
     return SimulationResult(
         blocks=blocks,
         outages=outages,
-        mode_counts=(n1, n2, n3, n4),
+        mode_counts=tuple(int(np.count_nonzero(mask)) for mask in modes),
         mode_outages=(0, 0, out3, out4),
-        level_occupancy=tuple(occupancy),
+        level_occupancy=tuple(occupancy.tolist()),
         outage_estimate=estimate,
         outage_stderr=stderr,
         seed=seed,

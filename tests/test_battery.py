@@ -184,6 +184,15 @@ class TestTransitionMatrix:
             assert np.abs(z.sum(axis=1) - 1.0).max() < 1e-9
             assert np.array_equal(family.matrix(k).z, z)
 
+    def test_oversized_chain_refused_before_cdf_tables(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("CDF table evaluated for a refused chain")
+        monkeypatch.setattr(er.battery, "cdf_h_sr", never)
+        params = reference_params()
+        links, thr = er.link_stats(params), er.thresholds(params.rate)
+        with pytest.raises(er.ValidationError, match=r"levels=4097 would need a 0\.1 GiB"):
+            er.ChainFamily(params, links, thr, 5e-3, 4097)
+
     def test_type_validation(self):
         with pytest.raises(er.ValidationError):
             er.TransitionMatrix(np.array([[0.5, 0.6], [0.5, 0.5]]))

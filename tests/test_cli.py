@@ -199,6 +199,13 @@ class TestMainExitCodes:
         bad = write_cfg(tmp_path, "eta = 2.0\n")
         assert cli.main(["analyze", "--config", bad]) == 1
 
+    def test_oversized_chain_exits_1_naming_levels(self, tmp_path, capsys):
+        # the analytic chain would need a 74.5 GiB matrix; the simulator needs none
+        cfg = write_cfg(tmp_path, "levels = 100000\n")
+        assert cli.main(["analyze", "--config", cfg]) == 1
+        assert "levels" in capsys.readouterr().err
+        assert cli.main(["simulate", "--config", cfg, "--blocks", "2000"]) == 0
+
     def test_usage_error_is_validation(self):
         assert cli.main(["no-such-verb"]) == 1
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import ehrelay as er
 from ehrelay.simulator import Mode
@@ -104,32 +105,80 @@ class TestSimulate:
         b = er.simulate(params, links, thr, cfg, blocks=50_000, seed=9)
         assert a == b
 
-    def test_fast_path_matches_step_loop(self):
+    @pytest.mark.parametrize("warmup_blocks", [0, 37])
+    def test_fast_path_matches_step_loop(self, warmup_blocks):
         params, links, thr = _setup(p_s_dbm=25.0, n_antennas=2)
         cfg = reference_battery()
         blocks = 20_000
         res = er.simulate(params, links, thr, cfg, blocks=blocks, seed=77,
-                          warmup_blocks=0)
+                          warmup_blocks=warmup_blocks)
         rng = np.random.default_rng(77)
-        h_sd, h_sr, h_rd = er.sample_fade_blocks(params, links, rng, blocks)
+        h_sd, h_sr, h_rd = er.sample_fade_blocks(params, links, rng,
+                                                 warmup_blocks + blocks)
         order = (Mode.I, Mode.II, Mode.III, Mode.IV)
         counts = [0, 0, 0, 0]
         outs = [0, 0, 0, 0]
         occupancy = [0] * (cfg.levels + 1)
         level = 0
-        for m in range(blocks):
-            occupancy[level] += 1
+        for m in range(warmup_blocks + blocks):
             out = er.step(level, er.FadeSample(float(h_sd[m]), float(h_sr[m]),
                                                float(h_rd[m])),
                           params, links, thr, cfg)
-            idx = order.index(out.mode)
-            counts[idx] += 1
-            outs[idx] += out.outage
+            if m >= warmup_blocks:
+                occupancy[level] += 1
+                idx = order.index(out.mode)
+                counts[idx] += 1
+                outs[idx] += out.outage
             level = out.battery_level_after
         assert res.mode_counts == tuple(counts)
         assert res.mode_outages == tuple(outs)
         assert res.level_occupancy == tuple(occupancy)
         assert res.outages == sum(outs)
+
+    @pytest.mark.parametrize("p_s_dbm, n_antennas, levels",
+                             [(25.0, 2, 20), (15.0, 3, 200)])
+    def test_continuous_matches_joule_loop(self, p_s_dbm, n_antennas, levels):
+        # block-by-block reference in joules, written from the protocol with
+        # plain float arithmetic: full-block harvest below e_t, half-block
+        # harvest or an e_t drain at or above it, saturation at capacity;
+        # e_t lies off the level grid, so draining whole levels would differ
+        params, links, thr = _setup(p_s_dbm=p_s_dbm, n_antennas=n_antennas)
+        cfg = reference_battery(levels=levels, e_t=1.13e-3)
+        blocks, warmup = 20_000, 37
+        res = er.simulate(params, links, thr, cfg, blocks=blocks, seed=5,
+                          warmup_blocks=warmup, continuous_battery=True)
+        rng = np.random.default_rng(5)
+        fades = er.sample_fade_blocks(params, links, rng, warmup + blocks)
+        p_s, n0 = params.p_s, params.n0
+        counts = [0, 0, 0, 0]
+        outs = [0, 0, 0, 0]
+        occupancy = [0] * (cfg.levels + 1)
+        energy = 0.0
+        for m, (h_sd, h_sr, h_rd) in enumerate(zip(*(f.tolist() for f in fades))):
+            counted = m >= warmup
+            failed = h_sd < thr.gamma1 * n0 / p_s
+            harvest = params.eta * p_s * h_sr
+            if counted:
+                occupancy[min(int(energy * (cfg.levels / cfg.capacity)), cfg.levels)] += 1
+            if energy >= cfg.e_t:
+                mode = 3 if failed else 1
+                outage = failed and min(p_s * h_sr / n0, p_s * h_sd / n0
+                                        + 2.0 * cfg.e_t * h_rd / n0) < thr.gamma2
+                energy = energy - cfg.e_t if failed else min(energy + 0.5 * harvest,
+                                                             cfg.capacity)
+            else:
+                mode = 2 if failed else 0
+                outage = failed and 2.0 * (p_s * h_sd / n0) < thr.gamma2
+                energy = min(energy + harvest, cfg.capacity)
+            if counted:
+                counts[mode] += 1
+                outs[mode] += outage
+        estimate = sum(outs) / blocks
+        assert res == er.SimulationResult(
+            blocks=blocks, outages=sum(outs), mode_counts=tuple(counts),
+            mode_outages=tuple(outs), level_occupancy=tuple(occupancy),
+            outage_estimate=estimate,
+            outage_stderr=math.sqrt(estimate * (1.0 - estimate) / blocks), seed=5)
 
     def test_counters_are_consistent(self):
         params, links, thr = _setup(p_s_dbm=25.0)
@@ -190,3 +239,26 @@ class TestSimulate:
         with pytest.raises(er.ValidationError):
             er.simulate(params, links, thr, reference_battery(), blocks=10,
                         seed=1, warmup_blocks=-1)
+
+
+class TestSimulateProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(p_s_dbm=st.floats(10.0, 35.0), n_antennas=st.integers(1, 3),
+           levels=st.integers(1, 50), e_t_share=st.floats(0.0, 1.0, exclude_min=True),
+           blocks=st.integers(1, 3000), warmup=st.integers(0, 50),
+           continuous=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_counters_add_up(self, p_s_dbm, n_antennas, levels, e_t_share, blocks,
+                             warmup, continuous, seed):
+        params, links, thr = _setup(p_s_dbm=p_s_dbm, n_antennas=n_antennas)
+        try:
+            cfg = reference_battery(levels=levels, e_t=e_t_share * 5e-3)
+        except er.ValidationError:
+            assume(False)
+        res = er.simulate(params, links, thr, cfg, blocks=blocks, seed=seed,
+                          warmup_blocks=warmup, continuous_battery=continuous)
+        assert sum(res.mode_counts) == blocks
+        assert len(res.level_occupancy) == levels + 1
+        assert sum(res.level_occupancy) == blocks
+        assert res.mode_outages[0] == res.mode_outages[1] == 0
+        assert res.outages == sum(res.mode_outages)
+        assert res.outage_estimate == res.outages / blocks
