@@ -8,12 +8,17 @@ multiples. At or above the threshold the relay spends the first slot
 decoding: it either harvests over half a block (direct link up) or
 discharges by exactly the threshold level count (direct link down).
 Only the discharge depends on the threshold, so `ChainFamily` builds
-the CDF tables once and hands out the matrix of any threshold level.
+the CDF tables once, with two read-only Toeplitz views of their
+increments (O(L) memory), and assembles the matrix of any threshold
+level by copying rows from those views.
 
 Stationary laws come from GTH (state-elimination) solves, which use no
 subtractions and so keep full relative accuracy however stiff the
 chain is (a real regime here: at low source power the level
-discretization rounds essentially every harvest to zero).
+discretization rounds essentially every harvest to zero). The solve
+eliminates states from the top in blocks and touches only the lower
+band read off the chain's nonzero pattern (k_thr wide for a battery
+chain), which stays the same width as elimination proceeds.
 `reachable_steady_state` solves the closed class reachable from the
 empty battery; `steady_state` first checks that the whole chain is
 irreducible and refuses it otherwise.
@@ -23,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import LinkStats, SystemParams, Thresholds, cdf_h_sd, cdf_h_sr
 from .errors import NumericalError, ValidationError
@@ -40,6 +46,9 @@ __all__ = [
 
 # a chain over L+1 states is a dense (L+1)^2 float64 matrix: 128 MiB at L = 4096
 _MAX_CHAIN_LEVELS = 4096
+
+# states eliminated per block by the GTH solve
+_GTH_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -142,7 +151,8 @@ class ChainFamily:
     The source-relay CDF on the level grid (full-block and half-block
     harvest) and the direct-link failure probability do not depend on
     the threshold, so they are evaluated once here and shared by every
-    `matrix(k)`.
+    `matrix(k)`, as are the upper Toeplitz views of their increments
+    that `matrix(k)` copies rows from.
     """
 
     def __init__(self, params: SystemParams, links: LinkStats, thr: Thresholds,
@@ -163,14 +173,22 @@ class ChainFamily:
         self.f_half = np.array([cdf_h_sr(2.0 * j * unit, params, links.omega_sr)
                                 for j in range(levels + 1)])
         self.fail_direct = cdf_h_sd(thr.gamma1 * params.n0 / params.p_s, links.omega_sd)
+        keep = 1.0 - self.fail_direct
+        self._charge_full = _upper_toeplitz(self.f_full[1:] - self.f_full[:-1])
+        self._charge_half = _upper_toeplitz(keep * (self.f_half[1:] - self.f_half[:-1]))
+        self._top_full = 1.0 - self.f_full[::-1]
+        self._top_half = keep * (1.0 - self.f_half[::-1])
 
     def matrix(self, k_thr: int) -> TransitionMatrix:
         """Transition matrix when a cooperative block drains k_thr levels.
 
         Charging entries depend on the current level only through the
-        gap to the target level, so rows are filled from increments of
-        the CDF tables. The discharge entry sits exactly k_thr below the
-        diagonal with the direct-link failure probability as its mass.
+        gap to the target level, so rows [0, k_thr) are copied from the
+        full-harvest and rows [k_thr, L] from the half-harvest upper
+        Toeplitz view of the CDF increments. The last column (charge to
+        full) is overwritten from the complementary CDF, and the
+        discharge entry sits exactly k_thr below the diagonal with the
+        direct-link failure probability as its mass.
 
         Rows are checked, never renormalized: a row deviating from 1 by
         more than 1e-9 means the transition cases no longer partition
@@ -179,18 +197,13 @@ class ChainFamily:
         ell = self.levels
         if not 1 <= k_thr <= ell:
             raise ValidationError(f"threshold level must be in 1..{ell}, got {k_thr!r}")
-        f_full, f_half, fail_direct = self.f_full, self.f_half, self.fail_direct
-        z = np.zeros((ell + 1, ell + 1))
-        for i in range(ell + 1):
-            gaps = np.arange(ell - i)
-            if i < k_thr:
-                z[i, i:ell] = f_full[gaps + 1] - f_full[gaps]
-                z[i, ell] = 1.0 - f_full[ell - i]
-            else:
-                keep = 1.0 - fail_direct
-                z[i, i:ell] = keep * (f_half[gaps + 1] - f_half[gaps])
-                z[i, ell] = keep * (1.0 - f_half[ell - i])
-                z[i, i - k_thr] = fail_direct
+        z = np.empty((ell + 1, ell + 1))
+        z[:k_thr] = self._charge_full[:k_thr]
+        z[k_thr:] = self._charge_half[k_thr:]
+        z[:k_thr, ell] = self._top_full[:k_thr]
+        z[k_thr:, ell] = self._top_half[k_thr:]
+        # the diagonal k_thr below the main one, in row-major order
+        z.reshape(-1)[k_thr * (ell + 1)::ell + 2] = self.fail_direct
         worst = np.abs(z.sum(axis=1) - 1.0).max()
         if worst > 1e-9:
             raise NumericalError(
@@ -199,6 +212,17 @@ class ChainFamily:
             )
         np.clip(z, 0.0, 1.0, out=z)
         return TransitionMatrix(z)
+
+
+def _upper_toeplitz(inc: np.ndarray) -> np.ndarray:
+    """Read-only (L+1)x(L+1) view with entry [i, i + g] = inc[g], zeros below.
+
+    Built from one padded vector of length 2L+1, so it takes O(L)
+    memory; the last column is left for the caller to overwrite.
+    """
+    ell = inc.size
+    padded = np.concatenate((np.zeros(ell), inc, np.zeros(1)))
+    return sliding_window_view(padded, ell + 1)[::-1]
 
 
 def build_transition_matrix(params: SystemParams, links: LinkStats, thr: Thresholds,
@@ -244,29 +268,58 @@ def reachable_steady_state(tm: TransitionMatrix, start: int = 0) -> SteadyState:
     n = z.shape[0]
     if not 0 <= start < n:
         raise ValidationError(f"start must be a state index in 0..{n - 1}, got {start!r}")
-    reach = _reachable_from(z > 0.0, start)
-    idx = np.flatnonzero(reach)
-    sub = z[np.ix_(idx, idx)]
+    idx = np.flatnonzero(_reachable_from(z > 0.0, start))
+    sub = z if idx.size == n else z[np.ix_(idx, idx)]
     pi = np.zeros(n)
     pi[idx] = _gth_stationary(sub)
     return SteadyState(pi)
 
 
 def _gth_stationary(z: np.ndarray) -> np.ndarray:
-    """GTH (state-elimination) stationary solve of a stochastic matrix."""
+    """GTH (state-elimination) stationary solve of a stochastic matrix.
+
+    States are eliminated from the top, _GTH_BLOCK at a time. Within a
+    block the pivots update a small work array eagerly: the block's own
+    rows over the band, stacked under an identity that records how the
+    block's columns above it transform. Everything above the block is
+    then updated by one nonnegative matmul. Eliminating from the top
+    never widens the lower band, so rows only need the `bw` columns
+    left of the diagonal, `bw` read off the nonzero pattern (n - 1 for
+    a dense matrix). Every operation adds, multiplies or divides
+    nonnegative numbers: there are no subtractions, as in plain GTH.
+    """
     n = z.shape[0]
     if n == 1:
         return np.ones(1)
     p = z.astype(float, copy=True)
-    for k in range(n - 1, 0, -1):
-        s = p[k, :k].sum()
-        if not s > 0.0:
-            raise NumericalError(
-                f"GTH elimination hit a zero pivot at state {k}; the restricted "
-                "chain is not irreducible"
-            )
-        p[:k, k] /= s
-        p[:k, :k] += np.outer(p[:k, k], p[k, :k])
+    # lower bandwidth: the largest s - j with p[s, j] > 0 and j < s
+    bw = max(0, int((np.arange(n) - (p > 0.0).argmax(axis=1)).max()))
+    for hi in range(n, 1, -_GTH_BLOCK):
+        lo = max(1, hi - _GTH_BLOCK)
+        b = hi - lo
+        c0 = max(0, lo - bw)
+        # rows [b, 2b) are the block's rows; rows [0, b) start as the
+        # identity and end as the map that takes the block's columns, in
+        # the rows above it, to their eliminated values
+        w = np.zeros((2 * b, hi - c0))
+        w[:b, lo - c0:] = np.eye(b)
+        w[b:] = p[lo:hi, c0:hi]
+        for k in range(hi - 1, lo - 1, -1):
+            r = b + k - lo
+            c = max(0, k - bw - c0)
+            s = np.add.reduce(w[r, c:k - c0])
+            if not s > 0.0:
+                raise NumericalError(
+                    f"GTH elimination hit a zero pivot at state {k}; the restricted "
+                    "chain is not irreducible"
+                )
+            col = w[:r, k - c0]
+            col /= s
+            w[:r, c:k - c0] += np.multiply.outer(col, w[r, c:k - c0])
+        y = p[:lo, lo:hi] @ w[:b]
+        p[:lo, c0:lo] += y[:, :lo - c0]
+        p[:lo, lo:hi] = y[:, lo - c0:]
+        p[lo:hi, lo:hi] = w[b:, lo - c0:]
     pi = np.zeros(n)
     pi[0] = 1.0
     for k in range(1, n):

@@ -31,6 +31,12 @@ __all__ = [
 ]
 
 
+# Largest N*K (antennas times Rician K-factor) accepted. cdf_h_sr's
+# Marcum-Q series walks about 7.6 sqrt(N*K) terms out from its Poisson
+# mode; at DEFAULT_TOL.max_terms = 10000 it first fails near N*K = 1.97e6.
+_MAX_LOS_NK = 1e6
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical constants of the network, all in linear units."""
@@ -62,6 +68,11 @@ class SystemParams:
             raise ValidationError(f"n_antennas must be an integer >= 1, got {self.n_antennas!r}")
         if not self.rician_k >= 0.0:
             raise ValidationError(f"rician_k must be >= 0, got {self.rician_k!r}")
+        if self.n_antennas * self.rician_k > _MAX_LOS_NK:
+            raise ValidationError(
+                f"rician_k={self.rician_k!r} with n_antennas={self.n_antennas} gives "
+                f"N*K = {self.n_antennas * self.rician_k:.6g}; the source-relay CDF is "
+                f"evaluated for N*K <= {_MAX_LOS_NK:.0e} only")
         for name in ("d_sd", "d_sr", "d_rd"):
             if not getattr(self, name) > 0.0:
                 raise ValidationError(f"{name} must be > 0, got {getattr(self, name)!r}")

@@ -1,12 +1,13 @@
 """Battery chain tests: harvest discretization, the transition matrix
-against an independent case-by-case transcription, and both stationary
-solvers against hand results, a power-iteration oracle and a linear
-solve."""
+against an independent case-by-case transcription and a per-row
+construction, and both stationary solvers against hand results, a
+power-iteration oracle, a linear solve and textbook GTH."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import ehrelay as er
@@ -59,6 +60,65 @@ def eight_case_matrix(params, links, thr, cfg):
             elif j < i:
                 z[i, j] = f_sd if (not below and i - j == k_thr) else 0.0
     return z
+
+
+def per_row_matrix(family, k_thr):
+    """The transition matrix filled one row at a time from the CDF
+    increments of a ChainFamily's tables: a second construction for the
+    family's row copies to match bit for bit."""
+    ell = family.levels
+    f_full, f_half, fail_direct = family.f_full, family.f_half, family.fail_direct
+    z = np.zeros((ell + 1, ell + 1))
+    for i in range(ell + 1):
+        gaps = np.arange(ell - i)
+        if i < k_thr:
+            z[i, i:ell] = f_full[gaps + 1] - f_full[gaps]
+            z[i, ell] = 1.0 - f_full[ell - i]
+        else:
+            keep = 1.0 - fail_direct
+            z[i, i:ell] = keep * (f_half[gaps + 1] - f_half[gaps])
+            z[i, ell] = keep * (1.0 - f_half[ell - i])
+            z[i, i - k_thr] = fail_direct
+    np.clip(z, 0.0, 1.0, out=z)
+    return z
+
+
+def textbook_gth(z):
+    """Unblocked, dense GTH elimination of an irreducible stochastic matrix."""
+    n = z.shape[0]
+    p = np.array(z, dtype=float)
+    for k in range(n - 1, 0, -1):
+        p[:k, k] /= p[k, :k].sum()
+        p[:k, :k] += np.outer(p[:k, k], p[k, :k])
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = pi[:k] @ p[:k, k]
+    return pi / pi.sum()
+
+
+def random_chain(rng, n, bw, fill, stiff):
+    """Irreducible stochastic n x n matrix with lower bandwidth bw.
+
+    Entries inside the band are kept with probability `fill`; the two
+    off-diagonals are added so every state reaches every other, and the
+    diagonal so every row keeps some unscaled mass. stiff="up" (or
+    "down") scales each upward (downward) entry by 10**-exponent to the
+    power of its jump over n - 1, so every way from one end of the chain
+    to the other is that improbable and the smallest stationary mass
+    lands near 10**-exponent.
+    """
+    z = rng.random((n, n)) * (rng.random((n, n)) < fill)
+    rows, cols = np.indices((n, n))
+    z[cols < rows - bw] = 0.0
+    z[rows[:-1, 0], rows[:-1, 0] + 1] += 0.5
+    z[rows[1:, 0], rows[1:, 0] - 1] += 0.5
+    z += 0.5 * np.eye(n)
+    if stiff is not None:
+        exponent = rng.uniform(210.0, 260.0)
+        jump = cols - rows if stiff == "up" else rows - cols
+        z[jump > 0] *= 10.0 ** (-exponent * jump[jump > 0] / (n - 1))
+    return z / z.sum(axis=1, keepdims=True)
 
 
 def power_iteration(z, tol=1e-12, max_iters=2_000_000):
@@ -172,6 +232,17 @@ class TestTransitionMatrix:
             z = er.build_transition_matrix(params, links, thr, cfg).z
             assert np.abs(z.sum(axis=1) - 1.0).max() < 1e-9
 
+    @pytest.mark.parametrize("levels", [20, 200])
+    @pytest.mark.parametrize("n_antennas", [1, 3])
+    def test_copied_rows_equal_per_row_fill(self, levels, n_antennas):
+        for p_dbm in (15.0, 22.0, 30.0):
+            params = reference_params(p_s_dbm=p_dbm, n_antennas=n_antennas)
+            links = er.link_stats(params)
+            thr = er.thresholds(params.rate)
+            family = er.ChainFamily(params, links, thr, 5e-3, levels)
+            for k in range(1, levels + 1):
+                assert np.array_equal(family.matrix(k).z, per_row_matrix(family, k))
+
     def test_raising_threshold_keeps_stochasticity(self):
         params = reference_params(p_s_dbm=24.0)
         links = er.link_stats(params)
@@ -277,6 +348,65 @@ class TestReachableSteadyState:
         res = er.simulate(params, links, thr, cfg, blocks=10**6, seed=21)
         occupancy = np.array(res.level_occupancy) / res.blocks
         assert 0.5 * np.abs(occupancy - pi).sum() < 0.02
+
+
+def assert_relative(got, expected, rel):
+    assert np.array_equal(got > 0.0, expected > 0.0)
+    mass = expected > 0.0
+    assert np.all(np.abs(got[mass] - expected[mass]) <= rel * expected[mass])
+
+
+class TestGthSolve:
+    """The blocked, band-limited GTH behind reachable_steady_state against
+    textbook GTH, on sizes below, at and across several elimination
+    blocks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 60), bw_share=st.floats(0.0, 1.0),
+           fill=st.sampled_from([0.3, 1.0]), stiff=st.sampled_from([None, "up", "down"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_textbook_gth(self, n, bw_share, fill, stiff, seed):
+        if n == 1:
+            z = np.ones((1, 1))
+        else:
+            bw = 1 + round(bw_share * (n - 2))
+            z = random_chain(np.random.default_rng(seed), n, bw, fill, stiff)
+        expected = textbook_gth(z)
+        if stiff is not None and n > 1:
+            assert expected.min() < 1e-200
+        assert_relative(er.reachable_steady_state(er.TransitionMatrix(z)).pi, expected, 1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(3, 60), bw_share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_scattered_reachable_set(self, n, bw_share, seed):
+        # a closed class on a scattered subset of the states, entered from
+        # state 0; the rest of the chain is dense but never reached
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(2, n))
+        closed = np.sort(np.concatenate(([0], rng.choice(np.arange(1, n), size - 1,
+                                                         replace=False))))
+        if np.array_equal(closed, np.arange(size)):
+            closed[-1] = n - 1
+        bw = 1 + round(bw_share * (size - 2))
+        inner = random_chain(rng, size, bw, 0.5, None)
+        z = rng.random((n, n))
+        z /= z.sum(axis=1, keepdims=True)
+        z[closed] = 0.0
+        z[np.ix_(closed, closed)] = inner
+        expected = np.zeros(n)
+        expected[closed] = textbook_gth(inner)
+        assert_relative(er.reachable_steady_state(er.TransitionMatrix(z)).pi, expected, 1e-12)
+
+    @pytest.mark.parametrize("n, state", [(3, 1), (12, 9)])
+    def test_zero_pivot_names_the_state(self, n, state):
+        # a walk on 0..n-1 whose states from `state` up never move below it:
+        # everything is reachable from 0, but the chain is not irreducible
+        z = np.zeros((n, n))
+        for i in range(n):
+            z[i, min(i + 1, n - 1)] += 0.5
+            z[i, i - 1 if i > state else i] += 0.5
+        with pytest.raises(er.NumericalError, match=f"zero pivot at state {state};"):
+            er.reachable_steady_state(er.TransitionMatrix(z))
 
 
 class TestWindowOccupancy:

@@ -152,6 +152,11 @@ class TestParamValidation:
         with pytest.raises(er.ValidationError, match="d_rd"):
             reference_params(d_rd=0.0)
 
+    def test_rician_k_bounded_by_antenna_count(self):
+        assert reference_params(n_antennas=4, rician_k=2.5e5).rician_k == 2.5e5
+        with pytest.raises(er.ValidationError, match=r"rician_k=.*N\*K <= 1e\+06"):
+            reference_params(n_antennas=4, rician_k=2.6e5)
+
     @pytest.mark.parametrize("field", ["p_s", "n0", "rate", "rician_k", "d_sd", "d_sr", "d_rd"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_rejects_nonfinite_by_name(self, field, value):

@@ -206,6 +206,18 @@ class TestMainExitCodes:
         assert "levels" in capsys.readouterr().err
         assert cli.main(["simulate", "--config", cfg, "--blocks", "2000"]) == 0
 
+    def test_near_line_of_sight_link_is_evaluated(self, tmp_path, capsys):
+        # at N*K = 1425 the rounded weights of the source-relay CDF series
+        # can settle an ulp short of the series' tail bound
+        cfg = write_cfg(tmp_path, "rician_k = 1425.0\n")
+        assert cli.main(["analyze", "--config", cfg]) == 0
+        assert "p_out" in capsys.readouterr().out
+
+    def test_out_of_range_rician_k_exits_1_naming_it(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "rician_k = 1e9\n")
+        assert cli.main(["analyze", "--config", cfg]) == 1
+        assert "rician_k" in capsys.readouterr().err
+
     def test_usage_error_is_validation(self):
         assert cli.main(["no-such-verb"]) == 1
 

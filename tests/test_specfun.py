@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ehrelay import (DEFAULT_TOL, NumericalError, Tolerance, ValidationError,
                      lower_incomplete_gamma, marcum_q)
+from ehrelay.specfun import poisson_mean_inverse_shift
 
 # oracle values computed by adaptive quadrature before the implementation
 # existed (independent integrands, scipy.integrate.quad at 1e-13 tolerances)
@@ -55,6 +57,36 @@ class TestMarcumQ:
     def test_nonconvergence_raises_instead_of_nan(self):
         with pytest.raises(NumericalError):
             marcum_q(1, 9.0, 5.0, Tolerance(abs_tol=1e-12, max_terms=3))
+
+    def test_tail_bound_below_weight_rounding_is_not_an_error(self):
+        # at abs_tol = 1e-15 the rounded Poisson weights often settle short
+        # of 1 - abs_tol; the series stops once its terms no longer move them
+        tight = Tolerance(abs_tol=1e-15)
+        for nk in np.geomspace(0.5, 1e5, 40):
+            a = math.sqrt(2.0 * nk)
+            expected = stats.ncx2.sf(a * a, 2, a * a)
+            assert marcum_q(1, a, a, tight) == pytest.approx(expected, abs=1e-11)
+
+    def test_matches_scipy_noncentral_chi2_up_to_large_noncentrality(self):
+        # N*K = a^2 / 2 up to 1e5, across both tails of the law; from
+        # N*K ~ 1e4 on this needs the saddle-point Poisson log-probabilities
+        for nk in np.geomspace(1e-2, 1e5, 36):
+            a = math.sqrt(2.0 * nk)
+            for order in (1, 2, 3):
+                mean, sd = a * a + 2.0 * order, math.sqrt(4.0 * (order + a * a))
+                for x in np.linspace(max(0.0, mean - 8.0 * sd), mean + 8.0 * sd, 9):
+                    expected = stats.ncx2.sf(x, 2 * order, a * a)
+                    assert marcum_q(order, a, math.sqrt(x)) == pytest.approx(expected, abs=1e-10)
+
+
+class TestPoissonMeanInverseShift:
+    def test_matches_direct_sum(self):
+        for mu in np.linspace(10.0, 1000.0, 34):
+            n = np.arange(int(mu + 60.0 * math.sqrt(mu)) + 60)
+            for shift in (1.0, 2.0, 3.0):
+                expected = float(np.sum(stats.poisson.pmf(n, mu) / (shift + n)))
+                assert poisson_mean_inverse_shift(float(mu), shift) == pytest.approx(
+                    expected, rel=1e-11)
 
 
 class TestLowerIncompleteGamma:
