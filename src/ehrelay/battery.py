@@ -47,6 +47,10 @@ __all__ = [
 # a chain over L+1 states is a dense (L+1)^2 float64 matrix: 128 MiB at L = 4096
 _MAX_CHAIN_LEVELS = 4096
 
+# largest battery of any kind: a simulation keeps one occupancy count per
+# level, which costs tens of MiB at this bound whatever the block count
+_MAX_LEVELS = 1_000_000
+
 # states eliminated per block by the GTH solve
 _GTH_BLOCK = 8
 
@@ -72,6 +76,10 @@ class BatteryConfig:
             raise ValidationError(f"capacity must be > 0, got {self.capacity!r}")
         if not (isinstance(self.levels, int) and self.levels >= 1):
             raise ValidationError(f"levels must be an integer >= 1, got {self.levels!r}")
+        if self.levels > _MAX_LEVELS:
+            raise ValidationError(
+                f"levels={self.levels} exceeds the largest supported battery, "
+                f"levels <= {_MAX_LEVELS}")
         if not self.e_t > 0.0:
             raise ValidationError(f"e_t must be > 0, got {self.e_t!r}")
         if self.e_t > self.capacity:
@@ -152,7 +160,11 @@ class ChainFamily:
     harvest) and the direct-link failure probability do not depend on
     the threshold, so they are evaluated once here and shared by every
     `matrix(k)`, as are the upper Toeplitz views of their increments
-    that `matrix(k)` copies rows from.
+    that `matrix(k)` copies rows from. Both CDF tables come from one
+    array `cdf_h_sr` call, which also gives `fail_relay_decode`, the
+    source-relay CDF at the relay's decode threshold gamma2 n0 / p_s: the
+    chain does not use it, but the outage closed form of every threshold
+    level does.
     """
 
     def __init__(self, params: SystemParams, links: LinkStats, thr: Thresholds,
@@ -168,10 +180,14 @@ class ChainFamily:
             raise ValidationError(f"capacity must be finite and > 0, got {capacity!r}")
         unit = capacity / (params.eta * params.p_s * levels)
         self.levels = levels
-        self.f_full = np.array([cdf_h_sr(j * unit, params, links.omega_sr)
-                                for j in range(levels + 1)])
-        self.f_half = np.array([cdf_h_sr(2.0 * j * unit, params, links.omega_sr)
-                                for j in range(levels + 1)])
+        j = np.arange(levels + 1)
+        # one cdf_h_sr pass: both harvest grids, then the relay's decode threshold
+        f = cdf_h_sr(np.concatenate((j * unit, 2.0 * j * unit,
+                                     [thr.gamma2 * params.n0 / params.p_s])),
+                     params, links.omega_sr)
+        self.f_full = f[:levels + 1]
+        self.f_half = f[levels + 1:-1]
+        self.fail_relay_decode = float(f[-1])
         self.fail_direct = cdf_h_sd(thr.gamma1 * params.n0 / params.p_s, links.omega_sd)
         keep = 1.0 - self.fail_direct
         self._charge_full = _upper_toeplitz(self.f_full[1:] - self.f_full[:-1])
@@ -294,6 +310,11 @@ def _gth_stationary(z: np.ndarray) -> np.ndarray:
     p = z.astype(float, copy=True)
     # lower bandwidth: the largest s - j with p[s, j] > 0 and j < s
     bw = max(0, int((np.arange(n) - (p > 0.0).argmax(axis=1)).max()))
+    # one flat buffer each for the work array and the block-end product;
+    # every block takes a C-contiguous view of their leading entries
+    width = min(n, bw + _GTH_BLOCK)
+    w_buf = np.empty(2 * _GTH_BLOCK * width)
+    y_buf = np.empty(n * width)
     for hi in range(n, 1, -_GTH_BLOCK):
         lo = max(1, hi - _GTH_BLOCK)
         b = hi - lo
@@ -301,7 +322,8 @@ def _gth_stationary(z: np.ndarray) -> np.ndarray:
         # rows [b, 2b) are the block's rows; rows [0, b) start as the
         # identity and end as the map that takes the block's columns, in
         # the rows above it, to their eliminated values
-        w = np.zeros((2 * b, hi - c0))
+        w = w_buf[:2 * b * (hi - c0)].reshape(2 * b, hi - c0)
+        w[:b] = 0.0
         w[:b, lo - c0:] = np.eye(b)
         w[b:] = p[lo:hi, c0:hi]
         for k in range(hi - 1, lo - 1, -1):
@@ -316,7 +338,7 @@ def _gth_stationary(z: np.ndarray) -> np.ndarray:
             col = w[:r, k - c0]
             col /= s
             w[:r, c:k - c0] += np.multiply.outer(col, w[r, c:k - c0])
-        y = p[:lo, lo:hi] @ w[:b]
+        y = np.matmul(p[:lo, lo:hi], w[:b], out=y_buf[:lo * (hi - c0)].reshape(lo, hi - c0))
         p[:lo, c0:lo] += y[:, :lo - c0]
         p[:lo, lo:hi] = y[:, lo - c0:]
         p[lo:hi, lo:hi] = w[b:, lo - c0:]

@@ -161,21 +161,25 @@ def cdf_h_sd(x: float, omega_sd: float) -> float:
     return -math.expm1(-x / omega_sd)
 
 
-def cdf_h_sr(x: float, params: SystemParams, omega_sr: float) -> float:
-    """CDF of the N-antenna Rician source-relay power gain.
+def cdf_h_sr(x, params: SystemParams, omega_sr: float):
+    """CDF of the N-antenna Rician source-relay power gain, at one x or an array.
 
     F(x) = 1 - Q_N(sqrt(2 N K), sqrt(2 (K+1) x / omega_sr)) with the
-    per-antenna K-factor and per-antenna mean gain omega_sr.
+    per-antenna K-factor and per-antenna mean gain omega_sr. Every x
+    shares one Marcum-Q pass (see marcum_q); a scalar x is the size-1
+    case and returns a float, an array returns an array of its shape.
+    F(0) = 0 exactly, since Q_N(a, 0) = 1.
     """
-    if not x >= 0.0:
-        raise ValidationError(f"x must be >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
+    xs = np.asarray(x, dtype=float)
+    bad = ~(xs >= 0.0)
+    if bad.any():
+        raise ValidationError(f"x must be >= 0, got {float(xs[bad][0])!r}")
     n = params.n_antennas
     k = params.rician_k
     a = math.sqrt(2.0 * n * k)
-    b = math.sqrt(2.0 * (k + 1.0) * x / omega_sr)
-    return min(1.0, max(0.0, 1.0 - marcum_q(n, a, b)))
+    b = np.sqrt(2.0 * (k + 1.0) * xs / omega_sr)
+    f = np.clip(1.0 - marcum_q(n, a, b), 0.0, 1.0)
+    return float(f) if f.ndim == 0 else f
 
 
 def sample_fade_blocks(params: SystemParams, links: LinkStats,

@@ -157,9 +157,17 @@ def outage_probability(params: SystemParams, links: LinkStats, thr: Thresholds,
     pi must be the stationary distribution of the chain built from the
     same (params, links, thr, cfg).
     """
-    p_e = energy_sufficiency(pi, cfg)
     f_direct = cdf_h_sd(thr.gamma1 * params.n0 / params.p_s, links.omega_sd)
     f_relay_decode = cdf_h_sr(thr.gamma2 * params.n0 / params.p_s, params, links.omega_sr)
+    return _breakdown(params, links, thr, cfg, pi, f_direct, f_relay_decode)
+
+
+def _breakdown(params: SystemParams, links: LinkStats, thr: Thresholds,
+               cfg: BatteryConfig, pi: SteadyState, f_direct: float,
+               f_relay_decode: float) -> OutageBreakdown:
+    """outage_probability given the two threshold-independent link CDFs:
+    the direct link missing gamma1 and the relay failing to decode."""
+    p_e = energy_sufficiency(pi, cfg)
     m4 = mode4_joint_cdf(thr, mean_snrs(params, links, cfg), params.n_antennas)
     p_mode3 = (1.0 - p_e) * f_direct
     p_mode4 = p_e * ((1.0 - f_relay_decode) * m4 + f_direct * f_relay_decode)
@@ -182,9 +190,10 @@ def optimize_threshold(params: SystemParams, links: LinkStats, thr: Thresholds,
     """Exhaustive search of the threshold level minimizing total outage.
 
     Evaluates every candidate e_t = k * capacity / levels, k = 1..levels,
-    taking each candidate's chain from one ChainFamily, so the CDF tables
-    are computed once. Returns (best level, best outage); the smallest
-    level wins ties.
+    taking each candidate's chain from one ChainFamily, so the CDF tables,
+    and the two link CDFs of the outage expression, are computed once.
+    Each candidate's outage equals outage_probability's, bit for bit.
+    Returns (best level, best outage); the smallest level wins ties.
     Candidates that fail numerically are skipped with a warning.
     """
     family = ChainFamily(params, links, thr, capacity, levels)
@@ -195,7 +204,8 @@ def optimize_threshold(params: SystemParams, links: LinkStats, thr: Thresholds,
             cfg = BatteryConfig(capacity=capacity, levels=levels,
                                 e_t=k * capacity / levels)
             pi = reachable_steady_state(family.matrix(cfg.eps_t_level))
-            p_out = outage_probability(params, links, thr, cfg, pi).p_out
+            p_out = _breakdown(params, links, thr, cfg, pi, family.fail_direct,
+                               family.fail_relay_decode).p_out
         except NumericalError as exc:
             warnings.warn(f"threshold level {k} skipped: {exc}", stacklevel=2)
             continue

@@ -6,11 +6,16 @@ instead of inheriting whatever a black-box library happens to provide.
 Probability outputs are clamped to [0, 1] after convergence: the
 battery transition matrix built downstream needs rows that sum to one
 within tight tolerance and must not inherit last-ulp drift.
+`marcum_q` takes an array of b and evaluates all of them in one pass
+over the Poisson mixture, which is how the battery chain's CDF tables
+are built.
 """
 
 import math
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NumericalError, ValidationError
 
@@ -140,8 +145,14 @@ def poisson_mean_inverse_shift(mu: float, shift: float) -> float:
     raise NumericalError(f"Poisson average stalled at mu={mu}, shift={shift}")
 
 
-def marcum_q(order: int, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Generalized Marcum Q-function Q_order(a, b).
+# below this b^2/2 the series is not run: 1 - Q_N(a, b) <= b^2/2, so Q
+# rounds to 1, while the downward chi-square recurrence's ratios
+# (order-1+n) / x could overflow to inf
+_X_TINY = 1e-300
+
+
+def marcum_q(order: int, a: float, b, tol: Tolerance = DEFAULT_TOL):
+    """Generalized Marcum Q-function Q_order(a, b), for one b or an array of b.
 
     Equals the upper tail at b^2 of a noncentral chi-square law with
     2*order degrees of freedom and noncentrality a^2. Evaluated as a
@@ -157,8 +168,18 @@ def marcum_q(order: int, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> fl
     for arguments far beyond the overflow point of the Bessel series
     form.
 
-    Raises ValidationError for order < 1 or negative/NaN arguments and
-    NumericalError if the mass bound is not met within tol.max_terms.
+    The Poisson weights and so the stopping point depend on `a` alone,
+    so one pass over the mixture index serves every b: the chi-square
+    tails and the running sums are arrays over b, and each element goes
+    through exactly the floating-point steps a lone b would. A scalar b
+    is the size-1 case and returns a float; an array b returns an array
+    of its shape. Q is exactly 1 where b^2/2 < 1e-300 (b = 0 included)
+    and exactly 0 where b^2/2 overflows.
+
+    Raises ValidationError for order < 1 or negative/NaN arguments (naming
+    the first offending entry of b) and NumericalError, naming order, a
+    and the b values that needed the series, if the mass bound is not met
+    within tol.max_terms.
     """
     try:
         order = operator.index(order)
@@ -167,54 +188,76 @@ def marcum_q(order: int, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> fl
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
     a = float(a)
-    b = float(b)
-    if not a >= 0.0 or not b >= 0.0:
-        raise ValidationError(f"arguments must be nonnegative, got a={a!r}, b={b!r}")
-    if b == 0.0:
-        return 1.0
+    bs = np.asarray(b, dtype=float)
+    if not a >= 0.0:
+        raise ValidationError(f"a must be >= 0, got {a!r}")
+    bad = ~(bs >= 0.0)
+    if bad.any():
+        raise ValidationError(f"b must be >= 0, got {float(bs[bad][0])!r}")
+    q = np.ones(bs.shape)
+    x = 0.5 * bs * bs
+    q[x == math.inf] = 0.0
+    series = (x >= _X_TINY) & (x < math.inf)
+    x = x[series]
     lam = 0.5 * a * a  # Poisson mean of the mixture
-    x = 0.5 * b * b
-    if lam == 0.0:
-        return min(1.0, max(0.0, _poisson_cdf(order - 1, x)))
+    if x.size and lam == 0.0:
+        q[series] = [_poisson_cdf(order - 1, xi) for xi in x.tolist()]
+    elif x.size:
+        mixed = _poisson_mixture(order, lam, x, tol)
+        if mixed is None:
+            shown = (float(bs) if bs.ndim == 0 else
+                     np.array2string(bs[series], threshold=8, max_line_width=10**9))
+            raise NumericalError(
+                f"marcum_q(order={order}, a={a}, b={shown}) did not reach the tail "
+                f"bound {tol.abs_tol} within {tol.max_terms} terms"
+            )
+        q[series] = mixed
+    np.clip(q, 0.0, 1.0, out=q)
+    return float(q) if q.ndim == 0 else q
 
+
+def _poisson_mixture(order: int, lam: float, x: np.ndarray, tol: Tolerance):
+    """sum_n pois(n; lam) Pr{Poisson(x) <= order-1+n} for every entry of x > 0,
+    or None if the Poisson mass bound is not met within tol.max_terms."""
     n0 = int(lam)
     p0 = math.exp(_log_poisson_pmf(n0, lam))
-    g0 = _poisson_cdf(order - 1 + n0, x)
+    xs = x.tolist()
+    g0 = np.array([_poisson_cdf(order - 1 + n0, xi) for xi in xs])
     total = p0 * g0
     weight = p0
 
     # chi-square tails G_n = Pr{Poisson(x) <= order-1+n} are updated
     # incrementally in both directions from n0
     p_hi, g_hi, n_hi = p0, g0, n0
-    t_hi = math.exp(_log_poisson_pmf(order + n0, x))
-    p_lo, g_lo, n_lo = p0, g0, n0
-    t_lo = math.exp(_log_poisson_pmf(order - 1 + n0, x))
+    t_hi = np.array([math.exp(_log_poisson_pmf(order + n0, xi)) for xi in xs])
+    p_lo, g_lo, n_lo = p0, g0.copy(), n0
+    t_lo = np.array([math.exp(_log_poisson_pmf(order - 1 + n0, xi)) for xi in xs])
+    step = np.empty_like(x)
 
     for _ in range(tol.max_terms):
         if 1.0 - weight < tol.abs_tol:
-            return min(1.0, max(0.0, total))
+            return total
         before = weight
         n_hi += 1
         p_hi *= lam / n_hi
-        g_hi = min(g_hi + t_hi, 1.0)
-        t_hi *= x / (order + n_hi)
-        total += p_hi * g_hi
+        g_hi += t_hi
+        np.minimum(g_hi, 1.0, out=g_hi)
+        t_hi *= np.divide(x, order + n_hi, out=step)
+        total += np.multiply(g_hi, p_hi, out=step)
         weight += p_hi
         if n_lo > 0:
             p_lo *= n_lo / lam
-            g_lo = max(g_lo - t_lo, 0.0)
-            t_lo *= (order - 1 + n_lo) / x
+            g_lo -= t_lo
+            np.maximum(g_lo, 0.0, out=g_lo)
+            t_lo *= np.divide(order - 1 + n_lo, x, out=step)
             n_lo -= 1
-            total += p_lo * g_lo
+            total += np.multiply(g_lo, p_lo, out=step)
             weight += p_lo
         if weight == before:
             # the rounded weights can sum to just short of 1 - abs_tol;
             # every term still to come lies below half an ulp of their sum
-            return min(1.0, max(0.0, total))
-    raise NumericalError(
-        f"marcum_q(order={order}, a={a}, b={b}) did not reach the tail bound "
-        f"{tol.abs_tol} within {tol.max_terms} terms"
-    )
+            return total
+    return None
 
 
 def lower_incomplete_gamma(alpha: float, x: float, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -94,6 +94,9 @@ def textbook_gth(z):
     pi[0] = 1.0
     for k in range(1, n):
         pi[k] = pi[:k] @ p[:k, k]
+        # visit counts relative to a rarely seen state 0 overflow without this
+        if pi[k] > 1e250:
+            pi[:k + 1] /= pi[k]
     return pi / pi.sum()
 
 
@@ -115,7 +118,7 @@ def random_chain(rng, n, bw, fill, stiff):
     z[rows[1:, 0], rows[1:, 0] - 1] += 0.5
     z += 0.5 * np.eye(n)
     if stiff is not None:
-        exponent = rng.uniform(210.0, 260.0)
+        exponent = rng.uniform(220.0, 260.0)
         jump = cols - rows if stiff == "up" else rows - cols
         z[jump > 0] *= 10.0 ** (-exponent * jump[jump > 0] / (n - 1))
     return z / z.sum(axis=1, keepdims=True)
@@ -151,6 +154,11 @@ class TestBatteryConfig:
         fields = {"capacity": 5e-3, "levels": 20, "e_t": 1e-3, field: value}
         with pytest.raises(er.ValidationError, match=field):
             er.BatteryConfig(**fields)
+
+    def test_levels_bounded_by_name(self):
+        assert er.BatteryConfig(5e-3, 1_000_000, 1e-3).levels == 1_000_000
+        with pytest.raises(er.ValidationError, match=r"levels=1000001 exceeds"):
+            er.BatteryConfig(5e-3, 1_000_001, 1e-3)
 
 
 class TestDiscretizeHarvest:
@@ -242,6 +250,22 @@ class TestTransitionMatrix:
             family = er.ChainFamily(params, links, thr, 5e-3, levels)
             for k in range(1, levels + 1):
                 assert np.array_equal(family.matrix(k).z, per_row_matrix(family, k))
+
+    @pytest.mark.parametrize("levels", [1, 20, 200])
+    @pytest.mark.parametrize("n_antennas", [1, 3])
+    def test_tables_equal_scalar_cdf_calls(self, levels, n_antennas):
+        # the family's one array cdf_h_sr pass against one call per entry
+        for p_dbm in (15.0, 22.5, 30.0):
+            params = reference_params(p_s_dbm=p_dbm, n_antennas=n_antennas)
+            links = er.link_stats(params)
+            thr = er.thresholds(params.rate)
+            family = er.ChainFamily(params, links, thr, 5e-3, levels)
+            unit = 5e-3 / (params.eta * params.p_s * levels)
+            f_sr = lambda x: er.cdf_h_sr(x, params, links.omega_sr)
+            assert np.array_equal(family.f_full, [f_sr(j * unit) for j in range(levels + 1)])
+            assert np.array_equal(family.f_half,
+                                  [f_sr(2.0 * j * unit) for j in range(levels + 1)])
+            assert family.fail_relay_decode == f_sr(thr.gamma2 * params.n0 / params.p_s)
 
     def test_raising_threshold_keeps_stochasticity(self):
         params = reference_params(p_s_dbm=24.0)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import ehrelay as er
@@ -90,6 +91,32 @@ class TestRicianVectorCdf:
         analytic = er.cdf_h_sr(x, params, links.omega_sr)
         se = math.sqrt(analytic * (1.0 - analytic) / 10**7)
         assert abs(empirical - analytic) < 3.0 * se
+
+
+class TestRicianVectorCdfArrays:
+    @settings(max_examples=150, deadline=None)
+    @given(n_antennas=st.integers(1, 3),
+           rician_k=st.one_of(st.just(0.0), st.floats(0.0, 200.0)),
+           xs=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2e-2)), min_size=1, max_size=12))
+    def test_array_equals_scalar_calls(self, n_antennas, rician_k, xs):
+        params = reference_params(n_antennas=n_antennas, rician_k=rician_k)
+        values = er.cdf_h_sr(np.array(xs), params, 1e-3)
+        assert isinstance(values, np.ndarray) and values.shape == (len(xs),)
+        assert np.array_equal(values, [er.cdf_h_sr(x, params, 1e-3) for x in xs])
+        assert np.all(values[np.array(xs) == 0.0] == 0.0)
+
+    def test_scalar_returns_float_and_shape_is_kept(self):
+        params = reference_params(n_antennas=2)
+        assert type(er.cdf_h_sr(1e-3, params, 1e-3)) is float
+        grid = np.array([[0.0, 1e-3], [2e-3, 5e-3]])
+        values = er.cdf_h_sr(grid, params, 1e-3)
+        assert values.shape == (2, 2)
+        assert np.array_equal(values.ravel(), er.cdf_h_sr(grid.ravel(), params, 1e-3))
+
+    @pytest.mark.parametrize("bad, shown", [(-1e-3, "-0.001"), (math.nan, "nan")])
+    def test_bad_entry_of_an_array_is_named(self, bad, shown):
+        with pytest.raises(er.ValidationError, match=f"x must be >= 0, got {shown}"):
+            er.cdf_h_sr(np.array([0.0, 1e-3, bad, 2e-3]), reference_params(), 1e-3)
 
 
 class TestSamplers:

@@ -206,6 +206,13 @@ class TestMainExitCodes:
         assert "levels" in capsys.readouterr().err
         assert cli.main(["simulate", "--config", cfg, "--blocks", "2000"]) == 0
 
+    def test_oversized_battery_simulate_exits_1_naming_levels(self, tmp_path, capsys):
+        # a simulation keeps one occupancy count per level, so even the
+        # simulator refuses a battery this fine
+        cfg = write_cfg(tmp_path, "levels = 10000000\n")
+        assert cli.main(["simulate", "--config", cfg, "--blocks", "1000"]) == 1
+        assert "levels" in capsys.readouterr().err
+
     def test_near_line_of_sight_link_is_evaluated(self, tmp_path, capsys):
         # at N*K = 1425 the rounded weights of the source-relay CDF series
         # can settle an ulp short of the series' tail bound

@@ -178,3 +178,16 @@ class TestOptimizeThreshold:
                   for k in range(1, 21)]
         assert level == int(np.argmin(manual)) + 1
         assert outage == pytest.approx(min(manual), rel=1e-12)
+
+    @pytest.mark.parametrize("levels", [20, 200])
+    @pytest.mark.parametrize("n_antennas", [1, 3])
+    def test_best_outage_is_outage_probability_bit_for_bit(self, levels, n_antennas):
+        # the search evaluates the two link CDFs once per chain family;
+        # its best outage must be the public closed form's, not just close
+        params = reference_params(p_s_dbm=24.0, n_antennas=n_antennas)
+        links = er.link_stats(params)
+        thr = er.thresholds(params.rate)
+        level, outage = er.optimize_threshold(params, links, thr, 5e-3, levels)
+        # the battery the CLI evaluates at the chosen level
+        cfg = reference_battery(levels, level * 5e-3 / levels)
+        assert outage == solve_outage(params, cfg).p_out

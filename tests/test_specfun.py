@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from ehrelay import (DEFAULT_TOL, NumericalError, Tolerance, ValidationError,
@@ -77,6 +78,59 @@ class TestMarcumQ:
                 for x in np.linspace(max(0.0, mean - 8.0 * sd), mean + 8.0 * sd, 9):
                     expected = stats.ncx2.sf(x, 2 * order, a * a)
                     assert marcum_q(order, a, math.sqrt(x)) == pytest.approx(expected, abs=1e-10)
+
+
+# b values with exact zeros mixed in; a includes the a = 0 (Rician K = 0) branch
+B_LISTS = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 40.0)), min_size=1, max_size=16)
+A_VALUES = st.one_of(st.just(0.0), st.floats(0.0, 30.0))
+
+
+class TestMarcumQArrays:
+    """An array b runs one Poisson-mixture pass for every entry; each
+    entry must come out exactly as a lone scalar call gives it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(order=st.integers(1, 4), a=A_VALUES, bs=B_LISTS)
+    def test_array_equals_scalar_calls(self, order, a, bs):
+        values = marcum_q(order, a, np.array(bs))
+        assert isinstance(values, np.ndarray) and values.shape == (len(bs),)
+        scalars = [marcum_q(order, a, b) for b in bs]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(values, scalars)
+
+    @settings(max_examples=200, deadline=None)
+    @given(order=st.integers(1, 4), a=A_VALUES, bs=B_LISTS)
+    def test_bounded_and_monotone_in_b(self, order, a, bs):
+        values = marcum_q(order, a, np.sort(bs))
+        assert np.all((values >= 0.0) & (values <= 1.0))
+        assert np.all(np.diff(values) <= 1e-12)
+        assert np.all(values[np.sort(bs) == 0.0] == 1.0)
+
+    def test_extreme_b(self):
+        # b^2/2 underflows to 0 at b = 1e-160 and overflows at b = inf;
+        # 1e-140 still runs the series
+        assert marcum_q(1, 1.0, 1e-160) == 1.0
+        assert marcum_q(3, 2.0, math.inf) == 0.0
+        values = marcum_q(2, 1.0, np.array([0.0, 1e-200, 1e-140, 1.0, 1e200, math.inf]))
+        assert np.array_equal(values[[0, 1, 4, 5]], [1.0, 1.0, 0.0, 0.0])
+        assert 1.0 - 1e-11 < values[2] <= 1.0
+
+    def test_shape_is_kept(self):
+        grid = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        values = marcum_q(2, 1.5, grid)
+        assert values.shape == (2, 3)
+        assert np.array_equal(values.ravel(), marcum_q(2, 1.5, grid.ravel()))
+
+    @pytest.mark.parametrize("bad, shown", [(-2.0, "-2.0"), (math.nan, "nan")])
+    def test_bad_entry_of_an_array_is_named(self, bad, shown):
+        with pytest.raises(ValidationError, match=f"b must be >= 0, got {shown}"):
+            marcum_q(1, 1.0, np.array([0.0, 1.0, bad, 3.0]))
+
+    def test_nonconvergence_names_order_a_and_b(self):
+        with pytest.raises(NumericalError, match=r"order=1, a=9\.0, b=\[5\. 6\.\]"):
+            marcum_q(1, 9.0, np.array([0.0, 5.0, 6.0]), Tolerance(abs_tol=1e-12, max_terms=3))
+        with pytest.raises(NumericalError, match=r"order=1, a=9\.0, b=5\.0\)"):
+            marcum_q(1, 9.0, 5.0, Tolerance(abs_tol=1e-12, max_terms=3))
 
 
 class TestPoissonMeanInverseShift:
