@@ -139,18 +139,24 @@ class SteadyState:
             raise ValidationError(f"steady state must sum to 1 within 1e-10, got {pi.sum()!r}")
 
 
-def discretize_harvest(e_h: float, cfg: BatteryConfig) -> int:
-    """Largest level index whose energy lies strictly below e_h.
+def discretize_harvest(e_h, cfg: BatteryConfig):
+    """Largest level index whose energy lies strictly below e_h, at one e_h or an array.
 
     Energy exactly on a level boundary rounds DOWN one level; zero
-    harvest maps to level 0. Result is clipped to the level range.
+    harvest maps to level 0. Result is clipped to the level range. A
+    scalar e_h returns an int, an array returns int64 of its shape.
     """
-    if not e_h >= 0.0:
-        raise ValidationError(f"harvested energy must be >= 0, got {e_h!r}")
-    if e_h == 0.0:
-        return 0
-    level = math.ceil(e_h / cfg.step) - 1
-    return min(max(level, 0), cfg.levels)
+    e = np.asarray(e_h, dtype=float)
+    bad = ~(e >= 0.0)
+    if bad.any():
+        raise ValidationError(f"harvested energy must be >= 0, got {float(e[bad][0])!r}")
+    # clip before the integer cast, so a huge ratio cannot wrap around
+    level = np.divide(e, cfg.step, out=np.empty(e.shape))
+    np.ceil(level, out=level)
+    level -= 1.0
+    np.clip(level, 0, cfg.levels, out=level)
+    level = level.astype(np.int64)
+    return int(level) if level.ndim == 0 else level
 
 
 class ChainFamily:

@@ -10,10 +10,12 @@ paths also validates that assumption.
 
 One recursion records the battery at the start of every block; the
 mode, outage and occupancy counts are vectorized reductions over that
-path. `step` executes a single block and is the per-block reference.
+path. The recursion does Python-level work once per regime change
+(a discharge, or a crossing of the cooperation threshold), filling the
+blocks in between with one running sum each. `step` executes a single
+block and is the per-block reference.
 """
 
-import array
 import enum
 import math
 from dataclasses import dataclass
@@ -26,6 +28,14 @@ from .channel import (FadeSample, LinkStats, SystemParams, Thresholds,
 from .errors import ValidationError
 
 __all__ = ["Mode", "BlockOutcome", "SimulationResult", "step", "simulate"]
+
+# below the threshold the path searches for the crossing in a window of
+# this many blocks, doubling up to the second size while none is found
+_WINDOW_FIRST, _WINDOW_LAST = 64, 65536
+
+# largest blocks + warmup_blocks of one run: a run peaks at about 66 bytes
+# of numpy arrays a block (fades, gains, path), about 1.8 GiB at this bound
+_MAX_BLOCKS = 30_000_000
 
 
 class Mode(enum.Enum):
@@ -112,10 +122,12 @@ def step(state: int, fades: FadeSample, params: SystemParams, links: LinkStats,
     return BlockOutcome(Mode.I, False, state, after)
 
 
-def _discretize_many(e_h: np.ndarray, cfg: BatteryConfig) -> np.ndarray:
-    lvl = np.ceil(e_h / cfg.step).astype(np.int64) - 1
-    np.clip(lvl, 0, cfg.levels, out=lvl)
-    return lvl
+def _charge(seg: np.ndarray, state, gains: np.ndarray, cap) -> np.ndarray:
+    """Fill seg with state, then min(cap, state + running sum of gains), in place."""
+    seg[0] = state
+    seg[1:] = gains
+    np.add.accumulate(seg, out=seg)
+    return np.minimum(seg, cap, out=seg)
 
 
 def _battery_path(gain_full: np.ndarray, gain_half: np.ndarray, failed: np.ndarray,
@@ -125,24 +137,40 @@ def _battery_path(gain_full: np.ndarray, gain_half: np.ndarray, failed: np.ndarr
     At or above `drain` a failed direct link drains `drain`, otherwise
     half-block harvest is added; below `drain` the full-block harvest is
     added; charging saturates at `cap`. Integer gains give levels, float
-    gains joules. An `array.array` holds the path at one machine word per
-    block (a list would hold one Python object each).
+    gains joules; the path has the gains' dtype.
+
+    The path is filled one segment per regime change, not one step per
+    block. Between discharges the state is min(cap, running sum of
+    gains): `np.add.accumulate` adds in block order, as the recursion
+    does, and for nonnegative gains clipping the running sum once gives
+    what clipping after every add gives, so both battery modes keep the
+    recursion's exact values. At or above `drain` a segment runs to the
+    next direct-link failure, which drains. Below it, a segment ends
+    where the path first reaches `drain`, searched in a window that
+    doubles while the battery stays below.
     """
-    integer = gain_full.dtype.kind == "i"
-    path = array.array("q" if integer else "d")
-    record = path.append
-    state = 0 if integer else 0.0
-    for g_full, g_half, down in zip(gain_full.tolist(), gain_half.tolist(),
-                                    failed.tolist()):
-        record(state)
+    n = len(gain_full)
+    path = np.empty(n, dtype=gain_full.dtype)
+    downs = np.flatnonzero(failed)
+    state = path.dtype.type(0)
+    start, window = 0, _WINDOW_FIRST
+    while start < n:
         if state >= drain:
-            if down:
-                state -= drain
-            else:
-                state = min(state + g_half, cap)
+            # up to and including the next direct-link failure, which drains
+            k = downs.searchsorted(start)
+            end = int(downs[k]) + 1 if k < len(downs) else n
+            seg = _charge(path[start:end], state, gain_half[start:end - 1], cap)
+            state, start, window = seg[-1] - drain, end, _WINDOW_FIRST
         else:
-            state = min(state + g_full, cap)
-    return np.frombuffer(path, dtype=np.int64 if integer else np.float64)
+            end = min(start + window, n)
+            seg = _charge(path[start:end], state, gain_full[start:end - 1], cap)
+            cross = int(seg.searchsorted(drain))
+            if cross < len(seg):
+                state, start = seg[cross], start + cross
+            else:
+                state = min(seg[-1] + gain_full[end - 1], cap)
+                start, window = end, min(2 * window, _WINDOW_LAST)
+    return path
 
 
 def simulate(params: SystemParams, links: LinkStats, thr: Thresholds,
@@ -160,11 +188,17 @@ def simulate(params: SystemParams, links: LinkStats, thr: Thresholds,
     stored energy onto the level grid.
 
     The same seed always produces the identical result, field for field.
+    Every block is held in memory at once, so blocks + warmup_blocks is
+    refused above 30000000.
     """
     if blocks < 1:
         raise ValidationError(f"blocks must be >= 1, got {blocks!r}")
     if warmup_blocks < 0:
         raise ValidationError(f"warmup_blocks must be >= 0, got {warmup_blocks!r}")
+    if blocks + warmup_blocks > _MAX_BLOCKS:
+        raise ValidationError(
+            f"blocks + warmup_blocks = {blocks + warmup_blocks} exceeds the largest "
+            f"simulation, {_MAX_BLOCKS} blocks")
     rng = np.random.default_rng(seed)
     h_sd, h_sr, h_rd = sample_fade_blocks(params, links, rng, warmup_blocks + blocks)
     failed = _direct_fails(h_sd, params, thr)
@@ -174,8 +208,8 @@ def simulate(params: SystemParams, links: LinkStats, thr: Thresholds,
         path = _battery_path(e_full, 0.5 * e_full, failed, drain, cfg.capacity)
     else:
         drain, relay_energy = cfg.eps_t_level, cfg.eps_t_level * cfg.step
-        path = _battery_path(_discretize_many(e_full, cfg),
-                             _discretize_many(0.5 * e_full, cfg), failed, drain, cfg.levels)
+        path = _battery_path(discretize_harvest(e_full, cfg),
+                             discretize_harvest(0.5 * e_full, cfg), failed, drain, cfg.levels)
 
     measured = slice(warmup_blocks, None)
     path, failed = path[measured], failed[measured]

@@ -175,6 +175,37 @@ class TestDiscretizeHarvest:
     def test_clipped_at_top(self):
         assert er.discretize_harvest(1.0, reference_battery()) == 20
 
+    def test_scalar_gives_int(self):
+        assert type(er.discretize_harvest(6e-4, reference_battery())) is int
+        assert type(er.discretize_harvest(np.float64(0.0), reference_battery())) is int
+
+    @settings(max_examples=100, deadline=None)
+    @given(levels=st.integers(1, 1000),
+           energies=st.lists(st.one_of(st.floats(0.0, 2e-2), st.just(0.0),
+                                       st.integers(0, 1200).map(lambda k: k * 5e-3 / 1000)),
+                             max_size=50))
+    def test_array_matches_plain_rounding(self, levels, energies):
+        # ceil(e / step) - 1 clipped to [0, L], 0 -> 0, one element at a time
+        cfg = er.BatteryConfig(5e-3, levels, 1e-6)
+        got = er.discretize_harvest(np.array(energies, dtype=float), cfg)
+        expected = [0 if e == 0.0 else min(max(math.ceil(e / cfg.step) - 1, 0), levels)
+                    for e in energies]
+        assert got.dtype == np.int64 and got.shape == (len(energies),)
+        assert got.tolist() == expected
+        assert [er.discretize_harvest(e, cfg) for e in energies] == expected
+
+    def test_huge_energy_clips_to_top(self):
+        cfg = reference_battery()
+        assert er.discretize_harvest(np.array([1e300, math.inf]), cfg).tolist() == [20, 20]
+
+    @pytest.mark.parametrize("bad, shown", [(-1e-3, "-0.001"), (math.nan, "nan")])
+    def test_bad_entry_named(self, bad, shown):
+        cfg = reference_battery()
+        with pytest.raises(er.ValidationError, match=f"must be >= 0, got {shown}"):
+            er.discretize_harvest(bad, cfg)
+        with pytest.raises(er.ValidationError, match=f"must be >= 0, got {shown}"):
+            er.discretize_harvest(np.array([1e-3, bad, -5.0]), cfg)
+
 
 class TestTransitionMatrix:
     def test_toy_matrix_matches_independent_transcription(self):

@@ -213,6 +213,14 @@ class TestMainExitCodes:
         assert cli.main(["simulate", "--config", cfg, "--blocks", "1000"]) == 1
         assert "levels" in capsys.readouterr().err
 
+    def test_oversized_simulation_exits_1_naming_blocks(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("fades sampled for a refused run")
+        monkeypatch.setattr(er.simulator, "sample_fade_blocks", never)
+        cfg = write_cfg(tmp_path, "")
+        assert cli.main(["simulate", "--config", cfg, "--blocks", "1000000000"]) == 1
+        assert "blocks + warmup_blocks = 1000010000 exceeds" in capsys.readouterr().err
+
     def test_near_line_of_sight_link_is_evaluated(self, tmp_path, capsys):
         # at N*K = 1425 the rounded weights of the source-relay CDF series
         # can settle an ulp short of the series' tail bound

@@ -1,15 +1,17 @@
 """Protocol simulator tests: golden single-block traces, per-block
-invariants, determinism, and exact agreement between the aggregated
-fast path and block-by-block execution of `step`."""
+invariants, determinism, exact agreement between the aggregated
+fast path and block-by-block execution of `step`, the segment-wise
+battery path against a plain per-block loop, and memory bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ehrelay as er
-from ehrelay.simulator import Mode
+from ehrelay.simulator import Mode, _battery_path
 from helpers import reference_battery, reference_params
 
 # fade triples drawn once with the seeds below at the reference setup and
@@ -262,3 +264,115 @@ class TestSimulateProperties:
         assert res.mode_outages[0] == res.mode_outages[1] == 0
         assert res.outages == sum(res.mode_outages)
         assert res.outage_estimate == res.outages / blocks
+
+
+def per_block_path(gain_full, gain_half, failed, drain, cap):
+    """Battery at the start of every block, one block at a time."""
+    state = gain_full.dtype.type(0).item()
+    path = []
+    for g_full, g_half, down in zip(gain_full.tolist(), gain_half.tolist(), failed.tolist()):
+        path.append(state)
+        if state >= drain:
+            state = state - drain if down else min(state + g_half, cap)
+        else:
+            state = min(state + g_full, cap)
+    return np.array(path, dtype=gain_full.dtype)
+
+
+# lengths around the path's crossing windows (64 doubling to 65536)
+EDGE_LENGTHS = (0, 1, 2, 63, 64, 65, 127, 128, 129, 191, 192, 193, 449)
+
+
+@st.composite
+def path_inputs(draw):
+    """Gains drawn from a small set, so that running sums often land
+    exactly on the threshold, plus arbitrary floats that round."""
+    integer = draw(st.booleans())
+    n = draw(st.one_of(st.sampled_from(EDGE_LENGTHS), st.integers(0, 1500)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_fail = draw(st.sampled_from([0.0, 1.0, 0.01, 0.3]))
+    zero_share = draw(st.sampled_from([0.0, 0.5, 0.95, 1.0]))
+    if integer:
+        cap = draw(st.integers(1, 40))
+        drain = draw(st.one_of(st.just(cap), st.integers(1, cap)))
+        values = np.arange(draw(st.integers(0, cap + 3)) + 1)   # gains above cap too
+    else:
+        cap = draw(st.sampled_from([1.0, 2.5, 5e-3, 7.75]))
+        drain = cap * draw(st.sampled_from([1.0, 0.5, 0.25, 0.375, 0.1]))
+        values = cap * np.array([0.0, 0.125, 0.25, 0.5, 1.0, 1.5])
+        if draw(st.booleans()):
+            values = np.concatenate([values, rng.uniform(0.0, cap, 4)])
+    gains = []
+    for _ in range(2):
+        g = rng.choice(values, n)
+        g[rng.random(n) < zero_share] = 0
+        gains.append(g.astype(np.int64 if integer else np.float64))
+    return gains[0], gains[1], rng.random(n) < p_fail, drain, cap
+
+
+class TestBatteryPath:
+    @settings(max_examples=300, deadline=None)
+    @given(path_inputs())
+    def test_matches_per_block_loop(self, inputs):
+        path = _battery_path(*inputs)
+        expected = per_block_path(*inputs)
+        assert path.dtype == inputs[0].dtype
+        assert np.array_equal(path, expected)
+
+    @pytest.mark.parametrize("dtype, drain, cap", [(np.int64, 4, 20), (np.float64, 1.13e-3, 5e-3)])
+    @pytest.mark.parametrize("layout", ["frozen", "late_crossing", "charged", "full_then_drained"])
+    def test_runs_longer_than_the_largest_window(self, dtype, drain, cap, layout):
+        # a frozen battery stays below the threshold for 200k blocks, past
+        # the 64 + 128 + ... + 65536 blocks of doubling windows and beyond
+        n = 200_000
+        rng = np.random.default_rng(11)
+        gain_full = np.zeros(n, dtype=dtype)
+        gain_half = np.zeros(n, dtype=dtype)
+        failed = np.zeros(n, dtype=bool)
+        if layout == "late_crossing":
+            gain_full[150_000] = drain
+            failed[rng.integers(0, n, 500)] = True
+        elif layout == "charged":
+            gain_full[0] = cap
+            gain_half[:] = rng.choice(np.array([0, drain, cap], dtype=dtype), n)
+        elif layout == "full_then_drained":
+            gain_full[0] = cap
+            failed[-1000:] = True
+        path = _battery_path(gain_full, gain_half, failed, drain, cap)
+        assert path.dtype == dtype
+        assert np.array_equal(path, per_block_path(gain_full, gain_half, failed, drain, cap))
+
+
+class TestSimulateBounds:
+    def test_oversized_run_refused_before_sampling(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("fades sampled for a refused run")
+        monkeypatch.setattr(er.simulator, "sample_fade_blocks", never)
+        params, links, thr = _setup()
+        cfg = reference_battery()
+        with pytest.raises(er.ValidationError,
+                           match=r"blocks \+ warmup_blocks = 30000001 exceeds"):
+            er.simulate(params, links, thr, cfg, blocks=29_990_001, seed=1)
+        with pytest.raises(er.ValidationError, match=r"= 1000000001 exceeds"):
+            er.simulate(params, links, thr, cfg, blocks=1, seed=1, warmup_blocks=10**9)
+        # the bound itself is accepted: the run gets as far as the sampler
+        with pytest.raises(AssertionError, match="fades sampled"):
+            er.simulate(params, links, thr, cfg, blocks=29_990_000, seed=1)
+
+    def test_peak_traced_memory_per_block(self):
+        # measured 62 bytes a block at 2e5 continuous blocks (three fade
+        # arrays, two harvest arrays, the path, the sampler's temporaries);
+        # the bound leaves 29% headroom. A per-block loop over list copies
+        # of the gains peaked at 121.
+        params, links, thr = _setup(p_s_dbm=25.0, n_antennas=2)
+        cfg = reference_battery()
+        blocks = 200_000
+        er.simulate(params, links, thr, cfg, blocks=1000, seed=3, continuous_battery=True)
+        tracemalloc.start()
+        try:
+            er.simulate(params, links, thr, cfg, blocks=blocks, seed=3, warmup_blocks=0,
+                        continuous_battery=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / blocks < 80.0
