@@ -18,7 +18,13 @@ chain is (a real regime here: at low source power the level
 discretization rounds essentially every harvest to zero). The solve
 eliminates states from the top in blocks and touches only the lower
 band read off the chain's nonzero pattern (k_thr wide for a battery
-chain), which stays the same width as elimination proceeds.
+chain), which stays the same width as elimination proceeds. It runs on
+a stack of chains, so each Python-level step serves every chain of the
+stack: the threshold search has `ChainFamily.steady_states` fill up to
+_GTH_STACK_BYTES of chains into one buffer and solve them in one pass,
+and a lone chain is the stack of one. Every chain of a stack keeps its
+own band in its pivot sums, its own zero-pivot flag and its own
+overflow rescaling, so its law is bit for bit the one it gets alone.
 `reachable_steady_state` solves the closed class reachable from the
 empty battery; `steady_state` first checks that the whole chain is
 irreducible and refuses it otherwise.
@@ -53,6 +59,11 @@ _MAX_LEVELS = 1_000_000
 
 # states eliminated per block by the GTH solve
 _GTH_BLOCK = 8
+
+# bytes of chain matrices the threshold search stacks into one GTH pass: six
+# chains at L = 200, all twenty at L = 20; the solve's block-end product takes
+# a quarter of this at a time
+_GTH_STACK_BYTES = 2 * 2**20
 
 
 @dataclass(frozen=True)
@@ -92,13 +103,11 @@ class BatteryConfig:
         # float guard: keep the defining property min{k >= 1 : k*step >= e_t}
         while k > 1 and (k - 1) * step >= self.e_t:
             k -= 1
-        while k <= self.levels and k * step < self.e_t:
+        while k < self.levels and k * step < self.e_t:
             k += 1
-        if k > self.levels:
-            raise ValidationError(
-                f"no battery level covers e_t={self.e_t!r} (capacity {self.capacity!r})"
-            )
-        object.__setattr__(self, "eps_t_level", k)
+        # the top level holds the whole capacity, so it covers any e_t <= capacity
+        # even where levels * step rounds below capacity
+        object.__setattr__(self, "eps_t_level", min(k, self.levels))
 
     @property
     def step(self) -> float:
@@ -216,24 +225,84 @@ class ChainFamily:
         more than 1e-9 means the transition cases no longer partition
         the probability space, which is a NumericalError.
         """
+        n = self.levels + 1
+        z = np.empty((1, n, n))
+        failed = self.fill([k_thr], z)[0]
+        if failed is not None:
+            raise failed
+        return TransitionMatrix(z[0])
+
+    def fill(self, k_thrs, out: np.ndarray) -> list:
+        """Write matrix(k).z of every k in k_thrs into out[i], in place.
+
+        out is a (len(k_thrs), L+1, L+1) float array, such as a slice of
+        a buffer reused for stack after stack. Returns one entry per
+        level: None, or the NumericalError that matrix(k) raises for a
+        row-sum failure, in which case out[i] holds that matrix before
+        its clip.
+        """
         ell = self.levels
-        if not 1 <= k_thr <= ell:
-            raise ValidationError(f"threshold level must be in 1..{ell}, got {k_thr!r}")
-        z = np.empty((ell + 1, ell + 1))
-        z[:k_thr] = self._charge_full[:k_thr]
-        z[k_thr:] = self._charge_half[k_thr:]
-        z[:k_thr, ell] = self._top_full[:k_thr]
-        z[k_thr:, ell] = self._top_half[k_thr:]
-        # the diagonal k_thr below the main one, in row-major order
-        z.reshape(-1)[k_thr * (ell + 1)::ell + 2] = self.fail_direct
-        worst = np.abs(z.sum(axis=1) - 1.0).max()
-        if worst > 1e-9:
-            raise NumericalError(
-                f"transition rows do not partition probability space, worst row-sum "
-                f"deviation {worst:.3e}"
-            )
-        np.clip(z, 0.0, 1.0, out=z)
-        return TransitionMatrix(z)
+        for k_thr in k_thrs:
+            if not 1 <= k_thr <= ell:
+                raise ValidationError(f"threshold level must be in 1..{ell}, got {k_thr!r}")
+        failed = []
+        for k_thr, z in zip(k_thrs, out):
+            z[:k_thr] = self._charge_full[:k_thr]
+            z[k_thr:] = self._charge_half[k_thr:]
+            z[:k_thr, ell] = self._top_full[:k_thr]
+            z[k_thr:, ell] = self._top_half[k_thr:]
+            # the diagonal k_thr below the main one
+            np.fill_diagonal(z[k_thr:], self.fail_direct)
+            worst = np.abs(z.sum(axis=1) - 1.0).max()
+            if worst > 1e-9:
+                failed.append(NumericalError(
+                    f"transition rows do not partition probability space, worst row-sum "
+                    f"deviation {worst:.3e}"))
+                continue
+            np.clip(z, 0.0, 1.0, out=z)
+            failed.append(None)
+        return failed
+
+    def steady_states(self, k_thrs) -> dict:
+        """reachable_steady_state(matrix(k)) from the empty battery, for every k in k_thrs.
+
+        Maps each level to its SteadyState, or to the NumericalError that
+        building or solving its chain raises, equal to what matrix(k) and
+        reachable_steady_state give. The levels are taken in increasing
+        order, so the chains of a stack have nearly the same band, and
+        filled _GTH_STACK_BYTES worth at a time into one buffer (six
+        chains at L = 200). Chains whose reachable set is every state are
+        solved in that buffer by one stacked GTH pass; the others are cut
+        down to their reachable sets and solved in stacks of equal size.
+        A chain that fails leaves the others of its stack as they are.
+        """
+        n = self.levels + 1
+        k_thrs = sorted(set(k_thrs))
+        per_stack = max(1, _GTH_STACK_BYTES // (8 * n * n))
+        buf = np.empty((min(per_stack, len(k_thrs)), n, n))
+        laws = {}
+        for first in range(0, len(k_thrs), per_stack):
+            chunk = k_thrs[first:first + per_stack]
+            whole, cut = [], {}
+            for slot, failed in enumerate(self.fill(chunk, buf[:len(chunk)])):
+                k_thr, z = chunk[slot], buf[slot]
+                if failed is not None:
+                    laws[k_thr] = failed
+                    continue
+                seen = _reachable_from(z > 0.0, 0)
+                if seen.all():
+                    if len(whole) < slot:
+                        # move it up over the slots of chains that left the stack
+                        buf[len(whole)] = z
+                    whole.append(k_thr)
+                else:
+                    idx = np.flatnonzero(seen)
+                    cut.setdefault(idx.size, []).append((k_thr, idx, z[np.ix_(idx, idx)]))
+            laws.update(_stack_laws(whole, buf[:len(whole)], n))
+            for group in cut.values():
+                keys, idxs, subs = zip(*group)
+                laws.update(_stack_laws(keys, np.stack(subs), n, idxs))
+        return laws
 
 
 def _upper_toeplitz(inc: np.ndarray) -> np.ndarray:
@@ -291,73 +360,171 @@ def reachable_steady_state(tm: TransitionMatrix, start: int = 0) -> SteadyState:
     if not 0 <= start < n:
         raise ValidationError(f"start must be a state index in 0..{n - 1}, got {start!r}")
     idx = np.flatnonzero(_reachable_from(z > 0.0, start))
-    sub = z if idx.size == n else z[np.ix_(idx, idx)]
-    pi = np.zeros(n)
-    pi[idx] = _gth_stationary(sub)
-    return SteadyState(pi)
+    # the solve works in place, on a copy
+    sub = z.copy() if idx.size == n else z[np.ix_(idx, idx)]
+    law = _law(*_gth_stationary(sub), n, idx)
+    if isinstance(law, NumericalError):
+        raise law
+    return law
 
 
-def _gth_stationary(z: np.ndarray) -> np.ndarray:
-    """GTH (state-elimination) stationary solve of a stochastic matrix.
+def _stack_laws(keys, stack: np.ndarray, n: int, idxs=None) -> dict:
+    """{key: SteadyState or NumericalError} of the chains of `stack`, one key
+    each, solved in place; idxs[i] gives the states of chain i among n
+    (all n when idxs is None)."""
+    if not keys:
+        return {}
+    pis, pivots = _gth_stationary(stack)
+    return {key: _law(pis[i], pivots[i], n, None if idxs is None else idxs[i])
+            for i, key in enumerate(keys)}
 
-    States are eliminated from the top, _GTH_BLOCK at a time. Within a
-    block the pivots update a small work array eagerly: the block's own
-    rows over the band, stacked under an identity that records how the
-    block's columns above it transform. Everything above the block is
-    then updated by one nonnegative matmul. Eliminating from the top
-    never widens the lower band, so rows only need the `bw` columns
-    left of the diagonal, `bw` read off the nonzero pattern (n - 1 for
-    a dense matrix). Every operation adds, multiplies or divides
-    nonnegative numbers: there are no subtractions, as in plain GTH.
+
+def _law(pi: np.ndarray, pivots: np.ndarray, n: int, idx=None):
+    """SteadyState over n states of one solved chain on the states idx (all n
+    when None), or the NumericalError of its first zero pivot."""
+    # a NaN pivot sum, downstream of a zero pivot, fails too
+    if not pivots.min() > 0.0:
+        # the first zero pivot in elimination order, from the top
+        state = int(np.flatnonzero(~(pivots > 0.0))[-1])
+        return NumericalError(f"GTH elimination hit a zero pivot at state {state}; the "
+                              "restricted chain is not irreducible")
+    if idx is None:
+        return SteadyState(pi)
+    law = np.zeros(n)
+    law[idx] = pi
+    return SteadyState(law)
+
+
+def _gth_stationary(p: np.ndarray) -> tuple:
+    """GTH (state-elimination) stationary solve of a stack of stochastic matrices.
+
+    p is an (m, n, n) stack, or one (n, n) matrix as the stack of one;
+    it is eliminated in place. Returns the laws and the pivot sums, both
+    (m, n), or (n,) for one matrix. Pivot k is the mass state k's row
+    sends to the states below it once the states above are eliminated,
+    state 0's is 1, and a chain is solved only if all of its pivot sums
+    are positive.
+
+    States are eliminated from the top, _GTH_BLOCK at a time, in every
+    chain of the stack at once, so the Python-level steps of a solve
+    serve the whole stack. Within a block the pivots update a small work
+    array eagerly: the block's own rows over the band, stacked under an
+    identity that records how the block's columns above it transform.
+    Everything above the block is then updated by one nonnegative matmul
+    per chain, a slab of rows at a time, so the product stays within a
+    quarter of _GTH_STACK_BYTES. Eliminating from the top never widens
+    the lower band, so rows only need the `bw` columns left of the
+    diagonal, `bw` read off the nonzero pattern (n - 1 for a dense
+    matrix, the widest chain's for a stack). Every operation adds,
+    multiplies or divides nonnegative numbers: there are no
+    subtractions, as in plain GTH.
+
+    A chain's law does not depend on the stack it is solved in: a chain
+    narrower than the stack sums its pivot rows over its own band
+    (numpy's pairwise sum groups by length, so leading zeros would move
+    the last bit), the extra columns it carries stay exactly zero, and
+    its back-substitution rescales on its own counts. Pivot sums are
+    written into one (m, n) array for the caller to check after the
+    solve; a chain with a zero pivot turns to inf and NaN from there on,
+    in its own slice only, so it fails alone, and the floating-point
+    warnings that raises are silenced.
     """
-    n = z.shape[0]
+    n = p.shape[-1]
+    piv = np.ones(p.shape[:-1])
     if n == 1:
-        return np.ones(1)
-    p = z.astype(float, copy=True)
-    # lower bandwidth: the largest s - j with p[s, j] > 0 and j < s
-    bw = max(0, int((np.arange(n) - (p > 0.0).argmax(axis=1)).max()))
-    # one flat buffer each for the work array and the block-end product;
+        return np.ones(piv.shape), piv
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        _gth_eliminate(p, piv)
+        return _gth_visits(p), piv
+
+
+def _gth_eliminate(p: np.ndarray, piv: np.ndarray) -> None:
+    """Eliminate states n-1..1 of every chain of p, writing pivot sums to piv[..., k]."""
+    lead, n = p.shape[:-2], p.shape[-1]
+    m = piv.size // n
+    # lower bandwidth of each chain: the largest s - j with p[s, j] > 0 and j < s
+    bands = [max(0, band) for band in
+             (np.arange(n) - (p > 0.0).argmax(axis=-1)).max(axis=-1).reshape(-1).tolist()]
+    bw = max(bands)
+    # chains narrower than the stack, narrowest first: their pivot sums run
+    # over their own band, as they would in a solve of their own, from the
+    # first pivot where that band ends before the stack's
+    narrow = sorted((band, i) for i, band in enumerate(bands) if band < bw)
+    piv3 = piv[..., None, None]
+    # one flat buffer each for the work arrays and the block-end product;
     # every block takes a C-contiguous view of their leading entries
     width = min(n, bw + _GTH_BLOCK)
-    w_buf = np.empty(2 * _GTH_BLOCK * width)
-    y_buf = np.empty(n * width)
+    slab = max(2, _GTH_STACK_BYTES // (32 * m * width))
+    w_buf = np.empty(m * 2 * _GTH_BLOCK * width)
+    y_buf = np.empty(m * min(n, slab + 1) * width)
+    # the last rows of `ident` give any block's top rows in one copy: an
+    # identity under the block's own columns, zeros left of them
+    ident = np.zeros((_GTH_BLOCK, max(width, _GTH_BLOCK)))
+    ident[:, -_GTH_BLOCK:] = np.eye(_GTH_BLOCK)
     for hi in range(n, 1, -_GTH_BLOCK):
         lo = max(1, hi - _GTH_BLOCK)
         b = hi - lo
         c0 = max(0, lo - bw)
+        wd = hi - c0
         # rows [b, 2b) are the block's rows; rows [0, b) start as the
         # identity and end as the map that takes the block's columns, in
         # the rows above it, to their eliminated values
-        w = w_buf[:2 * b * (hi - c0)].reshape(2 * b, hi - c0)
-        w[:b] = 0.0
-        w[:b, lo - c0:] = np.eye(b)
-        w[b:] = p[lo:hi, c0:hi]
+        w = w_buf[:m * 2 * b * wd].reshape(lead + (2 * b, wd))
+        w[..., :b, :] = ident[_GTH_BLOCK - b:, -wd:]
+        w[..., b:, :] = p[..., lo:hi, c0:hi]
         for k in range(hi - 1, lo - 1, -1):
             r = b + k - lo
-            c = max(0, k - bw - c0)
-            s = np.add.reduce(w[r, c:k - c0])
-            if not s > 0.0:
-                raise NumericalError(
-                    f"GTH elimination hit a zero pivot at state {k}; the restricted "
-                    "chain is not irreducible"
-                )
-            col = w[:r, k - c0]
+            kc = k - c0
+            c = max(0, kc - bw)
+            row = w[..., r:r + 1, c:kc]
+            s = piv3[..., k, :, :]
+            # the row's sum, kept as (..., 1, 1), into piv
+            np.add.reduce(row, -1, None, s, True)
+            for band, i in narrow:
+                if band >= k:
+                    break
+                piv[i, k] = np.add.reduce(w[i, r, kc - band:kc])
+            col = w[..., :r, kc:kc + 1]
             col /= s
-            w[:r, c:k - c0] += np.multiply.outer(col, w[r, c:k - c0])
-        y = np.matmul(p[:lo, lo:hi], w[:b], out=y_buf[:lo * (hi - c0)].reshape(lo, hi - c0))
-        p[:lo, c0:lo] += y[:, :lo - c0]
-        p[:lo, lo:hi] = y[:, lo - c0:]
-        p[lo:hi, lo:hi] = w[b:, lo - c0:]
-    pi = np.zeros(n)
-    pi[0] = 1.0
-    for k in range(1, n):
-        pi[k] = pi[:k] @ p[:k, k]
+            w[..., :r, c:kc] += col * row
+        # in slabs of `slab` rows, none of one row: BLAS multiplies a lone
+        # row by another route, and a chain must come out as it would alone
+        r0 = 0
+        while r0 < lo:
+            r1 = lo if lo - r0 <= slab + 1 else r0 + slab
+            y = np.matmul(p[..., r0:r1, lo:hi], w[..., :b, :],
+                          out=y_buf[:m * (r1 - r0) * wd].reshape(lead + (r1 - r0, wd)))
+            p[..., r0:r1, c0:lo] += y[..., :lo - c0]
+            p[..., r0:r1, lo:hi] = y[..., lo - c0:]
+            r0 = r1
+        p[..., lo:hi, lo:hi] = w[..., b:, lo - c0:]
+
+
+def _gth_visits(p: np.ndarray) -> np.ndarray:
+    """Normalized visit counts from eliminated chains: pi[k] = pi[:k] . p[:k, k]."""
+    n = p.shape[-1]
+    pi = np.zeros(p.shape[:-1])
+    pi[..., 0] = 1.0
+    # every chain as a row, for the rare rescale
+    rows = pi.reshape(-1, n)
+    k = 1
+    while k < n:
+        for j in range(k, n):
+            np.vecdot(pi[..., :j], p[..., :j, j], pi[..., j])
         # visit counts relative to state 0 can dwarf the float range when
-        # state 0 is almost never seen; rescaling preserves their ratios
-        if pi[k] > 1e250:
-            pi[:k + 1] /= pi[k]
-    total = pi.sum()
-    return pi / total
+        # state 0 is almost never seen. A chain is rescaled at its first
+        # count past 1e250, which preserves the ratios, and the counts
+        # after that one are computed again; rescales are rare, so one
+        # check a pass costs less than one a count
+        over = rows[:, k:] > 1e250
+        if not over.any():
+            break
+        j = k + int(over.any(axis=0).argmax())
+        big = over[:, j - k]
+        rows[big, :j + 1] /= rows[big, j, None]
+        k = j + 1
+    pi /= pi.sum(axis=-1, keepdims=True)
+    return pi
 
 
 def _reachable_from(adj: np.ndarray, start: int) -> np.ndarray:

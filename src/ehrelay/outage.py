@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .battery import BatteryConfig, ChainFamily, SteadyState, reachable_steady_state
+from .battery import BatteryConfig, ChainFamily, SteadyState
 from .channel import LinkStats, SystemParams, Thresholds, cdf_h_sd, cdf_h_sr
 from .errors import NumericalError, ValidationError
 from .specfun import lower_incomplete_gamma, poisson_mean_inverse_shift
@@ -192,18 +192,23 @@ def optimize_threshold(params: SystemParams, links: LinkStats, thr: Thresholds,
     Evaluates every candidate e_t = k * capacity / levels, k = 1..levels,
     taking each candidate's chain from one ChainFamily, so the CDF tables,
     and the two link CDFs of the outage expression, are computed once.
+    Candidates whose discretized levels coincide share one chain, and
+    the family solves the chains in stacks (ChainFamily.steady_states).
     Each candidate's outage equals outage_probability's, bit for bit.
     Returns (best level, best outage); the smallest level wins ties.
     Candidates that fail numerically are skipped with a warning.
     """
     family = ChainFamily(params, links, thr, capacity, levels)
+    cfgs = [BatteryConfig(capacity=capacity, levels=levels, e_t=k * capacity / levels)
+            for k in range(1, levels + 1)]
+    laws = family.steady_states({cfg.eps_t_level for cfg in cfgs})
     best_level = None
     best_outage = None
-    for k in range(1, levels + 1):
+    for k, cfg in enumerate(cfgs, start=1):
         try:
-            cfg = BatteryConfig(capacity=capacity, levels=levels,
-                                e_t=k * capacity / levels)
-            pi = reachable_steady_state(family.matrix(cfg.eps_t_level))
+            pi = laws[cfg.eps_t_level]
+            if isinstance(pi, NumericalError):
+                raise pi
             p_out = _breakdown(params, links, thr, cfg, pi, family.fail_direct,
                                family.fail_relay_decode).p_out
         except NumericalError as exc:

@@ -195,7 +195,9 @@ def marcum_q(order: int, a: float, b, tol: Tolerance = DEFAULT_TOL):
     if bad.any():
         raise ValidationError(f"b must be >= 0, got {float(bs[bad][0])!r}")
     q = np.ones(bs.shape)
-    x = 0.5 * bs * bs
+    # b^2 past the float range is meant: such b have Q = 0 below
+    with np.errstate(over="ignore"):
+        x = 0.5 * bs * bs
     q[x == math.inf] = 0.0
     series = (x >= _X_TINY) & (x < math.inf)
     x = x[series]

@@ -4,6 +4,7 @@ construction, and both stationary solvers against hand results, a
 power-iteration oracle, a linear solve and textbook GTH."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -124,6 +125,17 @@ def random_chain(rng, n, bw, fill, stiff):
     return z / z.sum(axis=1, keepdims=True)
 
 
+def zero_pivot_chain(n, state):
+    """A walk on 0..n-1 whose states from `state` up never move below it:
+    everything is reachable from 0, but the chain is not irreducible, and
+    GTH meets its first zero pivot at `state`."""
+    z = np.zeros((n, n))
+    for i in range(n):
+        z[i, min(i + 1, n - 1)] += 0.5
+        z[i, i - 1 if i > state else i] += 0.5
+    return z
+
+
 def power_iteration(z, tol=1e-12, max_iters=2_000_000):
     pi = np.full(z.shape[0], 1.0 / z.shape[0])
     for _ in range(max_iters):
@@ -154,6 +166,22 @@ class TestBatteryConfig:
         fields = {"capacity": 5e-3, "levels": 20, "e_t": 1e-3, field: value}
         with pytest.raises(er.ValidationError, match=field):
             er.BatteryConfig(**fields)
+
+    def test_top_level_covers_capacity(self):
+        # levels * (capacity / levels) rounds below capacity for 15 of these
+        # levels (73, 146, 285, ...); level `levels` must still cover e_t
+        for levels in range(1, 1001):
+            assert er.BatteryConfig(5e-3, levels, 5e-3).eps_t_level == levels
+
+    @pytest.mark.parametrize("levels", [20, 200])
+    def test_threshold_level_is_smallest_covering_level(self, levels):
+        # min{k >= 1 : k * step >= e_t} wherever a level below the top
+        # covers e_t: the search's candidates and points between them
+        step = 5e-3 / levels
+        for k in range(1, levels + 1):
+            for e_t in (k * 5e-3 / levels, k * step, (k - 0.5) * step):
+                expected = next((j for j in range(1, levels) if j * step >= e_t), levels)
+                assert er.BatteryConfig(5e-3, levels, e_t).eps_t_level == expected
 
     def test_levels_bounded_by_name(self):
         assert er.BatteryConfig(5e-3, 1_000_000, 1e-3).levels == 1_000_000
@@ -297,6 +325,28 @@ class TestTransitionMatrix:
             assert np.array_equal(family.f_half,
                                   [f_sr(2.0 * j * unit) for j in range(levels + 1)])
             assert family.fail_relay_decode == f_sr(thr.gamma2 * params.n0 / params.p_s)
+
+    @settings(max_examples=80, deadline=None)
+    @given(p_s_dbm=st.floats(0.0, 45.0), n_antennas=st.integers(1, 4),
+           rician_k=st.floats(0.0, 50.0), eta=st.floats(0.05, 1.0), rate=st.floats(0.1, 4.0),
+           d_sr=st.floats(1.0, 60.0), alpha=st.floats(2.0, 5.0),
+           capacity=st.floats(1e-5, 1.0), levels=st.one_of(st.integers(1, 40), st.just(200)),
+           data=st.data())
+    def test_stacked_fill_row_stochastic(self, p_s_dbm, n_antennas, rician_k, eta, rate,
+                                         d_sr, alpha, capacity, levels, data):
+        # across the parameter box every matrix of a stacked fill is
+        # row-stochastic and equal, bit for bit, to matrix(k)
+        params = reference_params(p_s_dbm=p_s_dbm, n_antennas=n_antennas, rician_k=rician_k,
+                                  eta=eta, rate=rate, d_sr=d_sr, alpha=alpha)
+        links, thr = er.link_stats(params), er.thresholds(params.rate)
+        family = er.ChainFamily(params, links, thr, capacity, levels)
+        k_thrs = data.draw(st.lists(st.integers(1, levels), min_size=1, max_size=6))
+        stack = np.full((len(k_thrs), levels + 1, levels + 1), np.nan)
+        assert family.fill(k_thrs, stack) == [None] * len(k_thrs)
+        assert np.all((stack >= 0.0) & (stack <= 1.0))
+        assert np.abs(stack.sum(axis=2) - 1.0).max() <= 1e-12
+        for k, z in zip(k_thrs, stack):
+            assert np.array_equal(z, family.matrix(k).z)
 
     def test_raising_threshold_keeps_stochasticity(self):
         params = reference_params(p_s_dbm=24.0)
@@ -454,14 +504,119 @@ class TestGthSolve:
 
     @pytest.mark.parametrize("n, state", [(3, 1), (12, 9)])
     def test_zero_pivot_names_the_state(self, n, state):
-        # a walk on 0..n-1 whose states from `state` up never move below it:
-        # everything is reachable from 0, but the chain is not irreducible
-        z = np.zeros((n, n))
-        for i in range(n):
-            z[i, min(i + 1, n - 1)] += 0.5
-            z[i, i - 1 if i > state else i] += 0.5
+        z = zero_pivot_chain(n, state)
         with pytest.raises(er.NumericalError, match=f"zero pivot at state {state};"):
             er.reachable_steady_state(er.TransitionMatrix(z))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3, 7, 8, 9, 15, 16, 17, 24, 25, 40]),
+           chains=st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from([0.3, 1.0]),
+                                     st.sampled_from([None, "up", "down"])),
+                           min_size=1, max_size=6),
+           broken=st.one_of(st.none(), st.integers(0, 5)),
+           stack_bytes=st.sampled_from([None, 1, 2000]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stacked_solve(self, n, chains, broken, stack_bytes, seed):
+        # a stack of chains of one size but mixed bands and stiffness; a
+        # small byte budget splits the block-end product into row slabs
+        rng = np.random.default_rng(seed)
+        stack = np.stack([np.ones((1, 1)) if n == 1 else
+                          random_chain(rng, n, 1 + round(share * (n - 2)), fill, stiff)
+                          for share, fill, stiff in chains])
+        state = 0
+        if broken is not None and broken < len(stack) and n >= 2:
+            state = int(rng.integers(1, n))
+            stack[broken] = zero_pivot_chain(n, state)
+        solve = er.battery._gth_stationary
+        with mock.patch.object(er.battery, "_GTH_STACK_BYTES",
+                               stack_bytes or er.battery._GTH_STACK_BYTES):
+            pis, pivots = solve(stack.copy())
+            alone = [solve(z.copy()) for z in stack]
+            one, one_pivots = solve(stack[:1].copy())
+        # the stack of one is the 2-D call, bit for bit (NaN for a broken chain)
+        assert np.array_equal(one[0], alone[0][0], equal_nan=True)
+        assert np.array_equal(one_pivots[0], alone[0][1], equal_nan=True)
+        for i, z in enumerate(stack):
+            # the highest state whose pivot sum is not positive, 0 for none
+            failed = np.flatnonzero(~(pivots[i] > 0.0))
+            if state and i == broken:
+                # only the broken chain is flagged, at its first zero pivot
+                assert failed.max() == state
+                continue
+            assert failed.size == 0
+            # a chain's law and pivots do not depend on the stack it is in
+            assert np.array_equal(pis[i], alone[i][0])
+            assert np.array_equal(pivots[i], alone[i][1])
+            assert_relative(pis[i], textbook_gth(z), 1e-12)
+
+    def test_rescaled_visit_counts(self):
+        # birth-death chains whose mass grows 1e50-fold and 1e40-fold a
+        # state: visit counts relative to state 0 pass the float range
+        # unless the back-substitution rescales them, which each of the
+        # two does at its own state, and the third chain never does
+        def birth_death(n, ratio):
+            z = np.zeros((n, n))
+            for i in range(n - 1):
+                z[i, i + 1] = 0.5
+                z[i + 1, i] = 0.5 / ratio
+            return z + np.diag(1.0 - z.sum(axis=1))
+
+        n = 9
+        mild = random_chain(np.random.default_rng(3), n, n - 1, 1.0, None)
+        stack = np.stack([birth_death(n, 1e50), birth_death(n, 1e40), mild])
+        pis, pivots = er.battery._gth_stationary(stack.copy())
+        assert np.all(pivots > 0.0)
+        for pi, z in zip(pis, stack):
+            assert np.array_equal(pi, er.battery._gth_stationary(z.copy())[0])
+            assert_relative(pi, textbook_gth(z), 1e-12)
+        assert pis[0][-1] > 0.99 and pis[0][0] == 0.0
+
+
+class TestSteadyStates:
+    """The threshold search's stacked solves against one chain at a time."""
+
+    @pytest.mark.parametrize("levels, points", [
+        (20, [(p, n) for p in (15.0, 18.0, 21.0, 24.0, 27.0, 30.0) for n in (1, 2, 3)]),
+        (200, [(18.0, 1), (30.0, 3)]),
+    ])
+    def test_equal_to_one_chain_at_a_time(self, levels, points):
+        # L=20 below about 22 dBm cuts most chains down to small reachable
+        # sets, at 18 dBm and N=1 down to the frozen empty state
+        for p_dbm, n_antennas in points:
+            params = reference_params(p_s_dbm=p_dbm, n_antennas=n_antennas)
+            links, thr = er.link_stats(params), er.thresholds(params.rate)
+            family = er.ChainFamily(params, links, thr, 5e-3, levels)
+            laws = family.steady_states(range(levels, 0, -1))
+            assert sorted(laws) == list(range(1, levels + 1))
+            for k, law in laws.items():
+                try:
+                    alone = er.reachable_steady_state(family.matrix(k))
+                except er.NumericalError as exc:
+                    assert isinstance(law, er.NumericalError) and str(law) == str(exc)
+                else:
+                    assert np.array_equal(law.pi, alone.pi)
+
+    def test_failed_rows_flagged_per_level(self):
+        params = reference_params(p_s_dbm=25.0)
+        links, thr = er.link_stats(params), er.thresholds(params.rate)
+        family = er.ChainFamily(params, links, thr, 5e-3, 20)
+        # rows from the threshold up lose mass when the direct link's
+        # failure probability no longer matches the tables' share
+        family.fail_direct *= 0.5
+        with pytest.raises(er.NumericalError, match="do not partition") as caught:
+            family.matrix(3)
+        laws = family.steady_states([3, 20])
+        assert str(laws[3]) == str(caught.value)
+        assert all(isinstance(law, er.NumericalError) for law in laws.values())
+        failed = family.fill([3, 20], np.empty((2, 21, 21)))
+        assert [str(f) for f in failed] == [str(laws[3]), str(laws[20])]
+
+    def test_bad_level_refused(self):
+        params = reference_params()
+        family = er.ChainFamily(params, er.link_stats(params), er.thresholds(params.rate),
+                                5e-3, 20)
+        with pytest.raises(er.ValidationError, match=r"threshold level must be in 1\.\.20"):
+            family.steady_states([0, 5])
 
 
 class TestWindowOccupancy:

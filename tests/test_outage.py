@@ -3,6 +3,8 @@ composition limits with synthetic steady states, and the threshold
 search contracts."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -191,3 +193,45 @@ class TestOptimizeThreshold:
         # the battery the CLI evaluates at the chosen level
         cfg = reference_battery(levels, level * 5e-3 / levels)
         assert outage == solve_outage(params, cfg).p_out
+
+    @pytest.mark.parametrize("levels, points", [
+        (20, [(p, n) for p in (15.0, 18.0, 21.0, 24.0, 27.0, 30.0) for n in (1, 2, 3)]),
+        (200, [(18.0, 1), (30.0, 3)]),
+    ])
+    def test_matches_plain_candidate_loop(self, levels, points):
+        # the stacked search against one chain per candidate, each through
+        # the public pipeline; at L=20 the low powers cut the chains down
+        # to small reachable sets (18 dBm, N=1: the frozen empty state)
+        for p_dbm, n_antennas in points:
+            params = reference_params(p_s_dbm=p_dbm, n_antennas=n_antennas)
+            links, thr = er.link_stats(params), er.thresholds(params.rate)
+            outages, skipped = [], []
+            for k in range(1, levels + 1):
+                cfg = reference_battery(levels, k * 5e-3 / levels)
+                try:
+                    outages.append(solve_outage(params, cfg).p_out)
+                except er.NumericalError as exc:
+                    outages.append(math.inf)
+                    skipped.append(f"threshold level {k} skipped: {exc}")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                level, outage = er.optimize_threshold(params, links, thr, 5e-3, levels)
+            assert level == int(np.argmin(outages)) + 1
+            assert outage == pytest.approx(min(outages), rel=1e-12, abs=0.0)
+            assert [str(w.message) for w in caught] == skipped
+
+    def test_peak_traced_memory_at_200_levels(self):
+        # the stacked solves hold _GTH_STACK_BYTES (2 MiB) of chains and a
+        # quarter of that of block-end product: 3.1 MiB measured, against
+        # 1.2 MiB for one chain at a time. A bigger stack would push the
+        # process past the benchmark's resident-memory bound.
+        params = reference_params(p_s_dbm=24.0, n_antennas=2)
+        links, thr = er.link_stats(params), er.thresholds(params.rate)
+        er.optimize_threshold(params, links, thr, 5e-3, 20)
+        tracemalloc.start()
+        try:
+            er.optimize_threshold(params, links, thr, 5e-3, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

@@ -106,11 +106,13 @@ class TestMarcumQArrays:
         assert np.all(np.diff(values) <= 1e-12)
         assert np.all(values[np.sort(bs) == 0.0] == 1.0)
 
+    @pytest.mark.filterwarnings("error")
     def test_extreme_b(self):
-        # b^2/2 underflows to 0 at b = 1e-160 and overflows at b = inf;
-        # 1e-140 still runs the series
+        # b^2/2 underflows to 0 at b = 1e-160 and overflows, without a
+        # warning, from b = 1.3e154 on; 1e-140 still runs the series
         assert marcum_q(1, 1.0, 1e-160) == 1.0
         assert marcum_q(3, 2.0, math.inf) == 0.0
+        assert marcum_q(3, 2.0, 1e200) == 0.0
         values = marcum_q(2, 1.0, np.array([0.0, 1e-200, 1e-140, 1.0, 1e200, math.inf]))
         assert np.array_equal(values[[0, 1, 4, 5]], [1.0, 1.0, 0.0, 0.0])
         assert 1.0 - 1e-11 < values[2] <= 1.0
