@@ -15,9 +15,9 @@ from .channel import (FadeSample, LinkStats, SystemParams, Thresholds,
 from .battery import (BatteryConfig, ChainFamily, SteadyState, TransitionMatrix,
                       build_transition_matrix, discretize_harvest,
                       reachable_steady_state, steady_state)
-from .outage import (MeanSnrs, OutageBreakdown, direct_baseline,
-                     energy_sufficiency, mean_snrs, mode4_joint_cdf,
-                     optimize_threshold, outage_probability)
+from .outage import (MeanSnrs, OutageBreakdown, Point, direct_baseline,
+                     energy_sufficiency, evaluate_point, mean_snrs,
+                     mode4_joint_cdf, optimize_threshold, outage_probability)
 from .simulator import BlockOutcome, Mode, SimulationResult, simulate, step
 
 __version__ = "0.1.0"
@@ -33,6 +33,7 @@ __all__ = [
     "Mode",
     "NumericalError",
     "OutageBreakdown",
+    "Point",
     "SimulationResult",
     "SteadyState",
     "SystemParams",
@@ -46,6 +47,7 @@ __all__ = [
     "direct_baseline",
     "discretize_harvest",
     "energy_sufficiency",
+    "evaluate_point",
     "link_stats",
     "lower_incomplete_gamma",
     "marcum_q",

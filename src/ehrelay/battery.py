@@ -194,6 +194,7 @@ class ChainFamily:
         if not 0.0 < capacity < math.inf:
             raise ValidationError(f"capacity must be finite and > 0, got {capacity!r}")
         unit = capacity / (params.eta * params.p_s * levels)
+        self.capacity = capacity
         self.levels = levels
         j = np.arange(levels + 1)
         # one cdf_h_sr pass: both harvest grids, then the relay's decode threshold
@@ -289,7 +290,7 @@ class ChainFamily:
                 if failed is not None:
                     laws[k_thr] = failed
                     continue
-                seen = _reachable_from(z > 0.0, 0)
+                seen = _reachable_from(z > 0.0)
                 if seen.all():
                     if len(whole) < slot:
                         # move it up over the slots of chains that left the stack
@@ -327,7 +328,7 @@ def steady_state(tm: TransitionMatrix) -> SteadyState:
 
     A reachability scan over the nonzero pattern refuses a reducible
     chain (`reachable_steady_state` gives the law of such a chain as
-    run from a chosen state). The irreducible chain is then solved by
+    run from the empty battery). The irreducible chain is then solved by
     GTH elimination, and a fixed-point residual above 1e-10 is a
     NumericalError.
     """
@@ -344,10 +345,10 @@ def steady_state(tm: TransitionMatrix) -> SteadyState:
     return ss
 
 
-def reachable_steady_state(tm: TransitionMatrix, start: int = 0) -> SteadyState:
-    """Stationary distribution of the chain as run from `start`.
+def reachable_steady_state(tm: TransitionMatrix) -> SteadyState:
+    """Stationary distribution of the chain as run from the empty battery.
 
-    The set of states reachable from `start` is closed, so the process
+    The set of states reachable from state 0 is closed, so the process
     started there has a well-defined long-run distribution supported on
     that set even when the full matrix is reducible in floating point
     (charging probabilities underflow at low source power). The
@@ -357,9 +358,7 @@ def reachable_steady_state(tm: TransitionMatrix, start: int = 0) -> SteadyState:
     """
     z = tm.z
     n = z.shape[0]
-    if not 0 <= start < n:
-        raise ValidationError(f"start must be a state index in 0..{n - 1}, got {start!r}")
-    idx = np.flatnonzero(_reachable_from(z > 0.0, start))
+    idx = np.flatnonzero(_reachable_from(z > 0.0))
     # the solve works in place, on a copy
     sub = z.copy() if idx.size == n else z[np.ix_(idx, idx)]
     law = _law(*_gth_stationary(sub), n, idx)
@@ -527,10 +526,11 @@ def _gth_visits(p: np.ndarray) -> np.ndarray:
     return pi
 
 
-def _reachable_from(adj: np.ndarray, start: int) -> np.ndarray:
+def _reachable_from(adj: np.ndarray) -> np.ndarray:
+    """States reachable from state 0 on the pattern adj, state 0 included."""
     n = adj.shape[0]
     seen = np.zeros(n, dtype=bool)
-    seen[start] = True
+    seen[0] = True
     frontier = seen.copy()
     while frontier.any():
         nxt = adj[frontier].any(axis=0) & ~seen
@@ -541,4 +541,4 @@ def _reachable_from(adj: np.ndarray, start: int) -> np.ndarray:
 
 def _strongly_connected(adj: np.ndarray) -> bool:
     """Every state reachable from state 0 and vice versa on the nonzero pattern."""
-    return bool(_reachable_from(adj, 0).all()) and bool(_reachable_from(adj.T, 0).all())
+    return bool(_reachable_from(adj).all()) and bool(_reachable_from(adj.T).all())

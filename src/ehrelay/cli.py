@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .battery import BatteryConfig, build_transition_matrix, reachable_steady_state
+from .battery import BatteryConfig
 from .channel import SystemParams, link_stats, thresholds
 from .errors import NumericalError, ValidationError
-from .outage import direct_baseline, optimize_threshold, outage_probability
+from .outage import direct_baseline, evaluate_point
 from .simulator import simulate
 
 __all__ = ["SweepSpec", "SweepRow", "load_config", "run_sweep", "write_csv",
@@ -212,45 +212,28 @@ def load_config(path: str) -> SweepSpec:
     return _spec_from_values(overrides)
 
 
-def _solve_point(params: SystemParams, battery: BatteryConfig):
-    links = link_stats(params)
-    thr = thresholds(params.rate)
-    tm = build_transition_matrix(params, links, thr, battery)
-    pi = reachable_steady_state(tm)
-    return links, thr, tm, pi
-
-
 def _run_point(spec: SweepSpec, index: int, value: float) -> SweepRow:
     params, battery = spec.params, spec.battery
-    optimal_level = None
-    if spec.sweep_kind == "source_power":
-        params = replace(params, p_s=dbm_to_watts(value))
-    elif spec.sweep_kind == "energy_threshold":
+    if spec.sweep_kind == "energy_threshold":
         battery = replace(battery, e_t=value)
-    else:  # optimal_threshold: pick the best level at this source power
+    else:  # source_power, or optimal_threshold: the best level at this source power
         params = replace(params, p_s=dbm_to_watts(value))
-        links = link_stats(params)
-        thr = thresholds(params.rate)
-        optimal_level, _ = optimize_threshold(params, links, thr,
-                                              battery.capacity, battery.levels)
-        battery = replace(battery, e_t=optimal_level * battery.capacity / battery.levels)
-
-    links, thr, _, pi = _solve_point(params, battery)
-    breakdown = outage_probability(params, links, thr, battery, pi)
+    point = evaluate_point(params, battery, optimize=spec.sweep_kind == "optimal_threshold")
     mc_outage = mc_stderr = None
     if spec.include_mc:
-        result = simulate(params, links, thr, battery, spec.mc_blocks,
+        result = simulate(params, point.links, point.thr, point.battery, spec.mc_blocks,
                           seed=spec.seed + index, warmup_blocks=spec.warmup_blocks)
         mc_outage, mc_stderr = result.outage_estimate, result.outage_stderr
-    baseline = direct_baseline(params, links, thr) if spec.include_baseline else None
+    baseline = (direct_baseline(params, point.links, point.thr)
+                if spec.include_baseline else None)
     return SweepRow(
         sweep_value=value,
-        analytic_outage=breakdown.p_out,
+        analytic_outage=point.breakdown.p_out,
         mc_outage=mc_outage,
         mc_stderr=mc_stderr,
         baseline_outage=baseline,
-        p_e=breakdown.p_e,
-        optimal_level=optimal_level,
+        p_e=point.breakdown.p_e,
+        optimal_level=point.optimal_level,
     )
 
 
@@ -343,13 +326,13 @@ def _load_base(config_path) -> SweepSpec:
 
 def _cmd_analyze(args) -> int:
     spec = _load_base(args.config)
-    links, thr, _, pi = _solve_point(spec.params, spec.battery)
-    breakdown = outage_probability(spec.params, links, thr, spec.battery, pi)
+    point = evaluate_point(spec.params, spec.battery)
+    breakdown = point.breakdown
     print(f"p_e             {breakdown.p_e:.9e}")
     print(f"p_mode3_joint   {breakdown.p_mode3_joint:.9e}")
     print(f"p_mode4_joint   {breakdown.p_mode4_joint:.9e}")
     print(f"p_out           {breakdown.p_out:.9e}")
-    print(f"direct_baseline {direct_baseline(spec.params, links, thr):.9e}")
+    print(f"direct_baseline {direct_baseline(spec.params, point.links, point.thr):.9e}")
     return 0
 
 
@@ -385,22 +368,18 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_optimize(args) -> int:
     spec = _load_base(args.config)
-    links = link_stats(spec.params)
-    thr = thresholds(spec.params.rate)
-    level, best = optimize_threshold(spec.params, links, thr,
-                                     spec.battery.capacity, spec.battery.levels)
-    e_t = level * spec.battery.capacity / spec.battery.levels
-    print(f"best_level  {level}")
-    print(f"best_e_t    {e_t:.9e}")
-    print(f"best_outage {best:.9e}")
+    point = evaluate_point(spec.params, spec.battery, optimize=True)
+    print(f"best_level  {point.optimal_level}")
+    print(f"best_e_t    {point.battery.e_t:.9e}")
+    print(f"best_outage {point.breakdown.p_out:.9e}")
     return 0
 
 
 def _cmd_dump_chain(args) -> int:
     spec = _load_base(args.config)
-    _, _, tm, pi = _solve_point(spec.params, spec.battery)
-    _write_matrix_csv(tm.z, args.out_z)
-    _write_matrix_csv(pi.pi, args.out_pi)
+    point = evaluate_point(spec.params, spec.battery)
+    _write_matrix_csv(point.tm.z, args.out_z)
+    _write_matrix_csv(point.pi.pi, args.out_pi)
     print(f"wrote {args.out_z} and {args.out_pi}")
     return 0
 

@@ -17,20 +17,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .battery import BatteryConfig, ChainFamily, SteadyState
-from .channel import LinkStats, SystemParams, Thresholds, cdf_h_sd, cdf_h_sr
+from .battery import (BatteryConfig, ChainFamily, SteadyState, TransitionMatrix,
+                      reachable_steady_state)
+from .channel import (LinkStats, SystemParams, Thresholds, cdf_h_sd, cdf_h_sr,
+                      link_stats, thresholds)
 from .errors import NumericalError, ValidationError
 from .specfun import lower_incomplete_gamma, poisson_mean_inverse_shift
 
 __all__ = [
     "MeanSnrs",
     "OutageBreakdown",
+    "Point",
     "mean_snrs",
     "energy_sufficiency",
     "mode4_joint_cdf",
     "outage_probability",
     "direct_baseline",
     "optimize_threshold",
+    "evaluate_point",
 ]
 
 
@@ -198,9 +202,21 @@ def optimize_threshold(params: SystemParams, links: LinkStats, thr: Thresholds,
     Returns (best level, best outage); the smallest level wins ties.
     Candidates that fail numerically are skipped with a warning.
     """
-    family = ChainFamily(params, links, thr, capacity, levels)
-    cfgs = [BatteryConfig(capacity=capacity, levels=levels, e_t=k * capacity / levels)
-            for k in range(1, levels + 1)]
+    return _search(ChainFamily(params, links, thr, capacity, levels), params, links, thr)
+
+
+def _candidate(capacity: float, levels: int, k: int) -> BatteryConfig:
+    """Battery of threshold candidate k: e_t = k * capacity / levels, capped
+    at capacity, which k = levels can round above (levels = 57 at 5 mJ)."""
+    return BatteryConfig(capacity=capacity, levels=levels,
+                         e_t=min(k * capacity / levels, capacity))
+
+
+def _search(family: ChainFamily, params: SystemParams, links: LinkStats,
+            thr: Thresholds) -> tuple:
+    """optimize_threshold over the candidates of `family`'s battery."""
+    cfgs = [_candidate(family.capacity, family.levels, k)
+            for k in range(1, family.levels + 1)]
     laws = family.steady_states({cfg.eps_t_level for cfg in cfgs})
     best_level = None
     best_outage = None
@@ -212,7 +228,8 @@ def optimize_threshold(params: SystemParams, links: LinkStats, thr: Thresholds,
             p_out = _breakdown(params, links, thr, cfg, pi, family.fail_direct,
                                family.fail_relay_decode).p_out
         except NumericalError as exc:
-            warnings.warn(f"threshold level {k} skipped: {exc}", stacklevel=2)
+            # attributed to the caller of optimize_threshold or evaluate_point
+            warnings.warn(f"threshold level {k} skipped: {exc}", stacklevel=3)
             continue
         if best_outage is None or p_out < best_outage:
             best_level = k
@@ -220,3 +237,44 @@ def optimize_threshold(params: SystemParams, links: LinkStats, thr: Thresholds,
     if best_level is None:
         raise NumericalError("every threshold candidate failed numerically")
     return best_level, best_outage
+
+
+@dataclass(frozen=True)
+class Point:
+    """The closed form at one configuration, stage by stage."""
+
+    links: LinkStats
+    thr: Thresholds
+    battery: BatteryConfig        # the battery evaluated: the chosen one with optimize
+    tm: TransitionMatrix
+    pi: SteadyState               # stationary law from the empty battery
+    breakdown: OutageBreakdown
+    optimal_level: int | None     # the threshold search's choice; None without optimize
+
+
+def evaluate_point(params: SystemParams, battery: BatteryConfig,
+                   optimize: bool = False) -> Point:
+    """Closed-form outage at one (P_S, E_T) configuration.
+
+    Derives the link statistics and thresholds once and builds one
+    ChainFamily, so the point makes one cdf_h_sr call. With optimize,
+    the search of optimize_threshold runs on that family over
+    battery.capacity and battery.levels, and the point is evaluated at
+    the chosen candidate's battery instead of `battery`. The chain, law
+    and breakdown are bit for bit those of build_transition_matrix,
+    reachable_steady_state and outage_probability for the evaluated
+    battery.
+    """
+    links = link_stats(params)
+    thr = thresholds(params.rate)
+    family = ChainFamily(params, links, thr, battery.capacity, battery.levels)
+    optimal_level = None
+    if optimize:
+        optimal_level, _ = _search(family, params, links, thr)
+        battery = _candidate(battery.capacity, battery.levels, optimal_level)
+    tm = family.matrix(battery.eps_t_level)
+    pi = reachable_steady_state(tm)
+    breakdown = _breakdown(params, links, thr, battery, pi, family.fail_direct,
+                           family.fail_relay_decode)
+    return Point(links=links, thr=thr, battery=battery, tm=tm, pi=pi,
+                 breakdown=breakdown, optimal_level=optimal_level)

@@ -3,6 +3,7 @@ CSV format guarantees, determinism and exit codes."""
 
 import csv
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -272,7 +273,37 @@ class TestMainExitCodes:
         printed = capsys.readouterr().out
         assert "best_level" in printed
 
+    def test_optimize_top_candidate_at_capacity(self, tmp_path, capsys):
+        # candidate 57 of 57 computes e_t a hair above the 5 mJ capacity
+        cfg = write_cfg(tmp_path, "levels = 57\np_s_dbm_grid = 20,21\n")
+        assert cli.main(["optimize", "--config", cfg]) == 0
+        assert "best_level" in capsys.readouterr().out
+        assert cli.main(["sweep", cfg, "--optimize-threshold",
+                         "--out", str(tmp_path / "opt.csv")]) == 0
+
     def test_optimize_threshold_flag_requires_power_sweep(self, tmp_path):
         cfg = write_cfg(tmp_path, "e_t_grid = 2.5e-4,5e-4\n")
         assert cli.main(["sweep", cfg, "--optimize-threshold",
                          "--out", str(tmp_path / "y.csv")]) == 1
+
+
+class TestPointPipeline:
+    @pytest.mark.parametrize("kind", ["source_power", "optimal_threshold"])
+    def test_one_family_and_one_cdf_h_sr_call_a_point(self, tmp_path, monkeypatch, kind):
+        calls = {"cdf_h_sr": 0, "family": 0}
+        cdf_h_sr, family_init = er.channel.cdf_h_sr, er.ChainFamily.__init__
+
+        def counted_cdf(*args, **kwargs):
+            calls["cdf_h_sr"] += 1
+            return cdf_h_sr(*args, **kwargs)
+
+        def counted_init(*args, **kwargs):
+            calls["family"] += 1
+            family_init(*args, **kwargs)
+        for module in (er.channel, er.battery, er.outage):
+            monkeypatch.setattr(module, "cdf_h_sr", counted_cdf)
+        monkeypatch.setattr(er.ChainFamily, "__init__", counted_init)
+        spec = cli.load_config(write_cfg(tmp_path, "p_s_dbm_grid = 20,24,28\n"))
+        rows = cli.run_sweep(replace(spec, sweep_kind=kind))
+        assert len(rows) == 3
+        assert calls == {"cdf_h_sr": 3, "family": 3}

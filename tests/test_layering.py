@@ -1,6 +1,7 @@
 """Layering rules of the package, checked on its source: no module
-imports another module's private (underscore) names, and the runtime
-imports nothing outside the standard library and numpy."""
+imports another module's private (underscore) names, the runtime
+imports nothing outside the standard library and numpy, and the CLI
+takes its analytic numbers from `outage.evaluate_point` alone."""
 
 import ast
 import pathlib
@@ -41,3 +42,19 @@ def test_runtime_imports_only_stdlib_and_numpy(path):
     foreign = [f"line {lineno}: {top}" for lineno, top in tops
                if top not in sys.stdlib_module_names and top not in ALLOWED_THIRD_PARTY]
     assert not foreign, f"{path.name} imports outside the stdlib and numpy: {foreign}"
+
+
+# the closed-form stages that evaluate_point chains together for the CLI
+POINT_STAGES = {"ChainFamily", "build_transition_matrix", "reachable_steady_state",
+                "outage_probability", "optimize_threshold"}
+
+
+def test_cli_evaluates_points_only_through_evaluate_point():
+    cli = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(cli.read_text(encoding="utf-8"))
+    used = [f"line {node.lineno}: {name}" for node in ast.walk(tree)
+            for name in ([alias.name for alias in node.names]
+                         if isinstance(node, ast.ImportFrom)
+                         else [node.id] if isinstance(node, ast.Name) else [])
+            if name in POINT_STAGES]
+    assert not used, f"cli.py bypasses evaluate_point: {used}"

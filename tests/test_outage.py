@@ -193,6 +193,39 @@ class TestOptimizeThreshold:
         # the battery the CLI evaluates at the chosen level
         cfg = reference_battery(levels, level * 5e-3 / levels)
         assert outage == solve_outage(params, cfg).p_out
+        point = er.evaluate_point(params, reference_battery(levels), optimize=True)
+        assert (point.optimal_level, point.breakdown.p_out) == (level, outage)
+        assert point.battery == cfg
+
+    def test_top_candidate_rounding_above_capacity(self):
+        # 57 * (5e-3 / 57) rounds to 0.005000000000000001 > capacity; the
+        # candidate is capped at capacity instead of refused
+        params = reference_params(p_s_dbm=20.0)
+        links, thr = er.link_stats(params), er.thresholds(params.rate)
+        level, outage = er.optimize_threshold(params, links, thr, 5e-3, 57)
+        assert 1 <= level <= 57
+        assert 0.0 < outage < er.direct_baseline(params, links, thr)
+
+    def test_skipped_candidate_warning_names_the_caller(self, monkeypatch):
+        # a level that fails numerically is skipped, and the warning points
+        # at the line that called the search, through either entry point
+        params = reference_params(p_s_dbm=24.0)
+        links, thr = er.link_stats(params), er.thresholds(params.rate)
+        solve = er.ChainFamily.steady_states
+
+        def failing_level_one(family, k_thrs):
+            laws = solve(family, k_thrs)
+            laws[1] = er.NumericalError("synthetic zero pivot")
+            return laws
+        monkeypatch.setattr(er.ChainFamily, "steady_states", failing_level_one)
+        for search in (lambda: er.optimize_threshold(params, links, thr, 5e-3, 20),
+                       lambda: er.evaluate_point(params, reference_battery(), optimize=True)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                search()
+            assert [str(w.message) for w in caught] == [
+                "threshold level 1 skipped: synthetic zero pivot"]
+            assert caught[0].filename == __file__
 
     @pytest.mark.parametrize("levels, points", [
         (20, [(p, n) for p in (15.0, 18.0, 21.0, 24.0, 27.0, 30.0) for n in (1, 2, 3)]),
@@ -235,3 +268,21 @@ class TestOptimizeThreshold:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+class TestEvaluatePoint:
+    @pytest.mark.parametrize("levels", [20, 200])
+    def test_matches_step_by_step_pipeline_bit_for_bit(self, levels):
+        for p_dbm in (15.0, 20.0, 25.0, 30.0):
+            for n_antennas in (1, 2, 3):
+                params = reference_params(p_s_dbm=p_dbm, n_antennas=n_antennas)
+                cfg = reference_battery(levels)
+                links, thr = er.link_stats(params), er.thresholds(params.rate)
+                tm = er.build_transition_matrix(params, links, thr, cfg)
+                pi = er.reachable_steady_state(tm)
+                point = er.evaluate_point(params, cfg)
+                assert (point.links, point.thr, point.battery) == (links, thr, cfg)
+                assert np.array_equal(point.tm.z, tm.z)
+                assert np.array_equal(point.pi.pi, pi.pi)
+                assert point.breakdown == solve_outage(params, cfg)
+                assert point.optimal_level is None
