@@ -20,11 +20,15 @@ eliminates states from the top in blocks and touches only the lower
 band read off the chain's nonzero pattern (k_thr wide for a battery
 chain), which stays the same width as elimination proceeds. It runs on
 a stack of chains, so each Python-level step serves every chain of the
-stack: the threshold search has `ChainFamily.steady_states` fill up to
-_GTH_STACK_BYTES of chains into one buffer and solve them in one pass,
-and a lone chain is the stack of one. Every chain of a stack keeps its
-own band in its pivot sums, its own zero-pivot flag and its own
-overflow rescaling, so its law is bit for bit the one it gets alone.
+stack: `ChainFamily.steady_states` fills `ChainFamily.stack_size`
+chains (_GTH_STACK_BYTES of them) into one buffer and solves them in
+one pass, and a lone chain is the stack of one. Every chain of a stack
+keeps its own band in its pivot sums, its own zero-pivot flag and its
+own overflow rescaling, so its law is bit for bit the one it gets
+alone, whichever levels share its stack. `ChainFamily.mean_charge`
+gives the expected charge of one block from the empty battery, which
+bounds the charge from every level: the threshold search bounds each
+level's outage with it before solving any chain.
 `reachable_steady_state` solves the closed class reachable from the
 empty battery; `steady_state` first checks that the whole chain is
 irreducible and refuses it otherwise.
@@ -211,6 +215,23 @@ class ChainFamily:
         self._top_full = 1.0 - self.f_full[::-1]
         self._top_half = keep * (1.0 - self.f_half[::-1])
 
+    @property
+    def stack_size(self) -> int:
+        """Chains that steady_states solves in one GTH pass: _GTH_STACK_BYTES of
+        (L+1)x(L+1) matrices, and at least one."""
+        return max(1, _GTH_STACK_BYTES // (8 * (self.levels + 1) ** 2))
+
+    def mean_charge(self) -> tuple:
+        """Expected levels gained in one block from the empty battery, clipped at
+        L: (full harvest, half harvest times 1 - fail_direct). A battery at
+        level i gains the same harvest clipped at L - i, so these bound the
+        charge of every row below the threshold (full) and at or above it
+        (half), whatever the threshold."""
+        gains = np.arange(self.levels + 1)
+        return tuple(float(gains[:-1] @ charge[0, :-1] + self.levels * top[0])
+                     for charge, top in ((self._charge_full, self._top_full),
+                                         (self._charge_half, self._top_half)))
+
     def matrix(self, k_thr: int) -> TransitionMatrix:
         """Transition matrix when a cooperative block drains k_thr levels.
 
@@ -271,15 +292,15 @@ class ChainFamily:
         building or solving its chain raises, equal to what matrix(k) and
         reachable_steady_state give. The levels are taken in increasing
         order, so the chains of a stack have nearly the same band, and
-        filled _GTH_STACK_BYTES worth at a time into one buffer (six
-        chains at L = 200). Chains whose reachable set is every state are
+        filled stack_size at a time into one buffer (six chains at
+        L = 200). Chains whose reachable set is every state are
         solved in that buffer by one stacked GTH pass; the others are cut
         down to their reachable sets and solved in stacks of equal size.
         A chain that fails leaves the others of its stack as they are.
         """
         n = self.levels + 1
         k_thrs = sorted(set(k_thrs))
-        per_stack = max(1, _GTH_STACK_BYTES // (8 * n * n))
+        per_stack = self.stack_size
         buf = np.empty((min(per_stack, len(k_thrs)), n, n))
         laws = {}
         for first in range(0, len(k_thrs), per_stack):

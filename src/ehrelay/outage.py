@@ -163,18 +163,26 @@ def outage_probability(params: SystemParams, links: LinkStats, thr: Thresholds,
     """
     f_direct = cdf_h_sd(thr.gamma1 * params.n0 / params.p_s, links.omega_sd)
     f_relay_decode = cdf_h_sr(thr.gamma2 * params.n0 / params.p_s, params, links.omega_sr)
-    return _breakdown(params, links, thr, cfg, pi, f_direct, f_relay_decode)
+    return _breakdown(pi, cfg, f_direct,
+                      _charged_outage(params, links, thr, cfg, f_direct, f_relay_decode))
 
 
-def _breakdown(params: SystemParams, links: LinkStats, thr: Thresholds,
-               cfg: BatteryConfig, pi: SteadyState, f_direct: float,
-               f_relay_decode: float) -> OutageBreakdown:
-    """outage_probability given the two threshold-independent link CDFs:
-    the direct link missing gamma1 and the relay failing to decode."""
-    p_e = energy_sufficiency(pi, cfg)
+def _charged_outage(params: SystemParams, links: LinkStats, thr: Thresholds,
+                    cfg: BatteryConfig, f_direct: float, f_relay_decode: float) -> float:
+    """c, the probability that a block with a charged relay is lost: the
+    direct link misses gamma1 (f_direct), and the relay either fails to
+    decode (f_relay_decode) or the combined SNR misses gamma2."""
     m4 = mode4_joint_cdf(thr, mean_snrs(params, links, cfg), params.n_antennas)
+    return (1.0 - f_relay_decode) * m4 + f_direct * f_relay_decode
+
+
+def _breakdown(pi: SteadyState, cfg: BatteryConfig, f_direct: float,
+               charged: float) -> OutageBreakdown:
+    """outage_probability given the direct link's failure probability and
+    c = _charged_outage: p_out = (1 - p_e) f_direct + p_e c."""
+    p_e = energy_sufficiency(pi, cfg)
     p_mode3 = (1.0 - p_e) * f_direct
-    p_mode4 = p_e * ((1.0 - f_relay_decode) * m4 + f_direct * f_relay_decode)
+    p_mode4 = p_e * charged
     return OutageBreakdown(
         p_e=p_e,
         p_mode3_joint=p_mode3,
@@ -191,18 +199,30 @@ def direct_baseline(params: SystemParams, links: LinkStats, thr: Thresholds) -> 
 
 def optimize_threshold(params: SystemParams, links: LinkStats, thr: Thresholds,
                        capacity: float, levels: int) -> tuple:
-    """Exhaustive search of the threshold level minimizing total outage.
+    """Exact pruned search of the threshold level minimizing total outage.
 
-    Evaluates every candidate e_t = k * capacity / levels, k = 1..levels,
-    taking each candidate's chain from one ChainFamily, so the CDF tables,
-    and the two link CDFs of the outage expression, are computed once.
-    Candidates whose discretized levels coincide share one chain, and
-    the family solves the chains in stacks (ChainFamily.steady_states).
-    Each candidate's outage equals outage_probability's, bit for bit.
+    The candidates are e_t = k * capacity / levels, k = 1..levels; those
+    whose discretized levels coincide share one chain of one ChainFamily,
+    which computes the CDF tables and the two link CDFs once. Level j's
+    outage is p_out = fd - p_e (fd - c), with fd the direct-link failure
+    probability and c = _charged_outage in closed form. The mean drift of
+    the battery is zero in its stationary law, and no level charges more a
+    block than the empty battery (ChainFamily.mean_charge: g_f under full,
+    (1 - fd) g_h under half harvest), so p_e <= u = min(1, g_f / (fd j +
+    g_f - (1 - fd) g_h)) when that denominator is positive (else u = 1),
+    and LB = fd - u max(fd - c, 0) <= p_out without solving the chain.
+    Levels are solved one GTH stack at a time in (LB, j) order; after each
+    stack, the levels whose LB exceeds the best outage so far by more than
+    1e-12 fd, which covers the rounding of LB and p_out, are dropped
+    unsolved. The winner and its ties have LB <= best and are always
+    solved, so the result is the exhaustive search's, bit for bit.
     Returns (best level, best outage); the smallest level wins ties.
-    Candidates that fail numerically are skipped with a warning.
+    Solved candidates that fail numerically are skipped with a warning; a
+    dropped candidate is never solved and cannot warn.
     """
-    return _search(ChainFamily(params, links, thr, capacity, levels), params, links, thr)
+    level, outage, _ = _search(ChainFamily(params, links, thr, capacity, levels),
+                               params, links, thr)
+    return level, outage
 
 
 def _candidate(capacity: float, levels: int, k: int) -> BatteryConfig:
@@ -212,31 +232,55 @@ def _candidate(capacity: float, levels: int, k: int) -> BatteryConfig:
                          e_t=min(k * capacity / levels, capacity))
 
 
+# pruning margin of the threshold search in units of fd, not of the best
+# outage: p_out can sit decades below fd, but LB and p_out round at fd's scale
+_PRUNE_MARGIN = 1e-12
+
+
 def _search(family: ChainFamily, params: SystemParams, links: LinkStats,
             thr: Thresholds) -> tuple:
-    """optimize_threshold over the candidates of `family`'s battery."""
+    """optimize_threshold over the candidates of `family`'s battery, returning
+    (best candidate, its outage, its SteadyState)."""
     cfgs = [_candidate(family.capacity, family.levels, k)
             for k in range(1, family.levels + 1)]
-    laws = family.steady_states({cfg.eps_t_level for cfg in cfgs})
-    best_level = None
-    best_outage = None
-    for k, cfg in enumerate(cfgs, start=1):
+    fd = family.fail_direct
+    gain_full, gain_half = family.mean_charge()
+    by_level = {cfg.eps_t_level: cfg for cfg in cfgs}
+    failed, charged, bound = {}, {}, {}
+    for j, cfg in by_level.items():
         try:
-            pi = laws[cfg.eps_t_level]
-            if isinstance(pi, NumericalError):
-                raise pi
-            p_out = _breakdown(params, links, thr, cfg, pi, family.fail_direct,
-                               family.fail_relay_decode).p_out
+            charged[j] = _charged_outage(params, links, thr, cfg, fd,
+                                         family.fail_relay_decode)
         except NumericalError as exc:
-            # attributed to the caller of optimize_threshold or evaluate_point
-            warnings.warn(f"threshold level {k} skipped: {exc}", stacklevel=3)
+            failed[j] = exc
             continue
-        if best_outage is None or p_out < best_outage:
-            best_level = k
-            best_outage = p_out
-    if best_level is None:
+        drain = fd * j + gain_full - gain_half
+        u = min(1.0, gain_full / drain) if drain > 0.0 else 1.0
+        bound[j] = fd - u * max(fd - charged[j], 0.0)
+    queue = sorted(bound, key=lambda j: (bound[j], j))
+    laws, outage = {}, {}
+    while queue:
+        stack, queue = queue[:family.stack_size], queue[family.stack_size:]
+        solved = family.steady_states(stack)
+        for j in stack:
+            if isinstance(solved[j], NumericalError):
+                failed[j] = solved[j]
+                continue
+            laws[j] = solved[j]
+            outage[j] = _breakdown(laws[j], by_level[j], fd, charged[j]).p_out
+        if outage:
+            cut = min(outage.values()) + _PRUNE_MARGIN * fd
+            queue = [j for j in queue if bound[j] <= cut]
+    for k, cfg in enumerate(cfgs, start=1):
+        if cfg.eps_t_level in failed:
+            # attributed to the caller of optimize_threshold or evaluate_point
+            warnings.warn(f"threshold level {k} skipped: {failed[cfg.eps_t_level]}",
+                          stacklevel=3)
+    if not outage:
         raise NumericalError("every threshold candidate failed numerically")
-    return best_level, best_outage
+    best = min(outage, key=lambda j: (outage[j], j))
+    k = next(k for k, cfg in enumerate(cfgs, start=1) if cfg.eps_t_level == best)
+    return k, outage[best], laws[best]
 
 
 @dataclass(frozen=True)
@@ -260,21 +304,22 @@ def evaluate_point(params: SystemParams, battery: BatteryConfig,
     ChainFamily, so the point makes one cdf_h_sr call. With optimize,
     the search of optimize_threshold runs on that family over
     battery.capacity and battery.levels, and the point is evaluated at
-    the chosen candidate's battery instead of `battery`. The chain, law
-    and breakdown are bit for bit those of build_transition_matrix,
-    reachable_steady_state and outage_probability for the evaluated
-    battery.
+    the chosen candidate's battery instead of `battery`, with the law the
+    search solved. The chain, law and breakdown are bit for bit those of
+    build_transition_matrix, reachable_steady_state and
+    outage_probability for the evaluated battery.
     """
     links = link_stats(params)
     thr = thresholds(params.rate)
     family = ChainFamily(params, links, thr, battery.capacity, battery.levels)
-    optimal_level = None
+    optimal_level = pi = None
     if optimize:
-        optimal_level, _ = _search(family, params, links, thr)
+        optimal_level, _, pi = _search(family, params, links, thr)
         battery = _candidate(battery.capacity, battery.levels, optimal_level)
     tm = family.matrix(battery.eps_t_level)
-    pi = reachable_steady_state(tm)
-    breakdown = _breakdown(params, links, thr, battery, pi, family.fail_direct,
-                           family.fail_relay_decode)
+    if pi is None:
+        pi = reachable_steady_state(tm)
+    breakdown = _breakdown(pi, battery, family.fail_direct, _charged_outage(
+        params, links, thr, battery, family.fail_direct, family.fail_relay_decode))
     return Point(links=links, thr=thr, battery=battery, tm=tm, pi=pi,
                  breakdown=breakdown, optimal_level=optimal_level)

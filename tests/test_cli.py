@@ -6,6 +6,7 @@ import os
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ehrelay as er
 from ehrelay import cli
@@ -96,6 +97,74 @@ class TestLoadConfig:
     def test_huge_integer_seed_parses(self, tmp_path):
         seed = int("9" * 400)
         assert cli.load_config(write_cfg(tmp_path, f"seed = {seed}\n")).seed == seed
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SPACE = st.sampled_from(["", " ", "  ", "\t"])
+
+
+def grid_text(draw, grid):
+    return ",".join(draw(SPACE) + repr(v) + draw(SPACE) for v in grid)
+
+
+@st.composite
+def config_text(draw, values):
+    """(text, values): a flat config file holding `values`, in any of the
+    accepted spellings: either separator, padding, blank lines and
+    comments of their own or after a value."""
+    lines = []
+    for key, value in values.items():
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# a comment = 1", "  #key: value"])))
+        if isinstance(value, bool):
+            text = draw(st.sampled_from(["true", "yes", "1"] if value else ["false", "no", "0"]))
+            text = "".join(draw(st.sampled_from([c, c.upper()])) for c in text)
+        elif isinstance(value, tuple):
+            text = grid_text(draw, value)
+        else:
+            text = repr(value)
+        sep = draw(st.sampled_from(["=", ":"]))
+        comment = draw(st.sampled_from(["", " # trailing", "# x=1"]))
+        lines.append(f"{draw(SPACE)}{key}{draw(SPACE)}{sep}{draw(SPACE)}{text}{comment}")
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), values
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), values=st.fixed_dictionaries({}, optional={
+        **{key: st.integers() for key in sorted(cli._INT_KEYS)},
+        **{key: st.booleans() for key in sorted(cli._BOOL_KEYS)},
+        **{key: st.lists(FINITE, min_size=1, max_size=5).map(tuple)
+           for key in sorted(cli._GRID_KEYS)},
+        **{key: FINITE for key in sorted(cli._FLOAT_KEYS)},
+    }))
+    def test_flat_file_parses_back_to_its_values(self, data, values):
+        text, values = data.draw(config_text(values))
+        assert cli._parse_flat_file(text) == values
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), values=st.fixed_dictionaries({}, optional={
+        "n_antennas": st.integers(1, 3), "levels": st.integers(1, 4096),
+        "seed": st.integers(0, 2**70), "warmup_blocks": st.integers(0, 10**7),
+        "include_baseline": st.booleans(), "include_mc": st.booleans(),
+        "p_s_dbm_grid": st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=5,
+                                 unique=True).map(lambda g: tuple(sorted(g))),
+        "eta": st.floats(0.01, 1.0), "alpha": st.floats(2.0, 5.0),
+        "d_sd": st.floats(1.0, 1e3), "d_rd": st.floats(1.0, 1e3),
+    }))
+    def test_load_config_takes_every_key(self, tmp_path_factory, data, values):
+        text, values = data.draw(config_text(values))
+        path = tmp_path_factory.mktemp("cfg") / "round.cfg"
+        path.write_text(text, encoding="utf-8")
+        spec = cli.load_config(str(path))
+        merged = {**cli.DEFAULTS, **values}
+        assert spec.grid == values.get("p_s_dbm_grid", (merged["p_s_dbm"],))
+        assert (spec.params.n_antennas, spec.params.eta, spec.params.alpha,
+                spec.params.d_sd, spec.params.d_rd) == tuple(
+            merged[key] for key in ("n_antennas", "eta", "alpha", "d_sd", "d_rd"))
+        assert spec.battery.levels == merged["levels"]
+        assert (spec.seed, spec.warmup_blocks, spec.include_baseline, spec.include_mc) == tuple(
+            merged[key] for key in ("seed", "warmup_blocks", "include_baseline", "include_mc"))
 
 
 class TestRunSweep:

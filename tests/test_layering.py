@@ -1,7 +1,8 @@
 """Layering rules of the package, checked on its source: no module
-imports another module's private (underscore) names, the runtime
-imports nothing outside the standard library and numpy, and the CLI
-takes its analytic numbers from `outage.evaluate_point` alone."""
+imports another module's private (underscore) names or reads a private
+attribute of anything but `self` or `cls`, the runtime imports nothing
+outside the standard library and numpy, and the CLI takes its analytic
+numbers from `outage.evaluate_point` alone."""
 
 import ast
 import pathlib
@@ -29,6 +30,18 @@ def test_no_private_imports_across_modules(path):
                if isinstance(node, ast.ImportFrom) and node.level > 0
                for alias in node.names if alias.name.startswith("_")]
     assert not private, f"{path.name} imports private names: {private}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_attributes_of_other_objects(path):
+    # obj._name reaches into another object's internals (a ChainFamily's
+    # Toeplitz views, say); dunders such as object.__setattr__ are protocol
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = [f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+               and not (node.attr.startswith("__") and node.attr.endswith("__"))
+               and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
+    assert not private, f"{path.name} reads private attributes: {private}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

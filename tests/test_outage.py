@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 import ehrelay as er
@@ -196,6 +197,8 @@ class TestOptimizeThreshold:
         point = er.evaluate_point(params, reference_battery(levels), optimize=True)
         assert (point.optimal_level, point.breakdown.p_out) == (level, outage)
         assert point.battery == cfg
+        # the law the search solved in its stack, not a second solve
+        assert np.array_equal(point.pi.pi, er.reachable_steady_state(point.tm).pi)
 
     def test_top_candidate_rounding_above_capacity(self):
         # 57 * (5e-3 / 57) rounds to 0.005000000000000001 > capacity; the
@@ -268,6 +271,118 @@ class TestOptimizeThreshold:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+def outage_bound(family, params, cfg):
+    """The lower bound LB on the outage of cfg's threshold level that
+    optimize_threshold prunes with, from the public surface: the drift
+    bound u on p_e and the closed-form outage c of a charged relay."""
+    links, thr = er.link_stats(params), er.thresholds(params.rate)
+    fd, frd = family.fail_direct, family.fail_relay_decode
+    m4 = er.mode4_joint_cdf(thr, er.mean_snrs(params, links, cfg), params.n_antennas)
+    c = (1.0 - frd) * m4 + fd * frd
+    gain_full, gain_half = family.mean_charge()
+    drain = fd * cfg.eps_t_level + gain_full - gain_half
+    u = min(1.0, gain_full / drain) if drain > 0.0 else 1.0
+    return fd - u * max(fd - c, 0.0)
+
+
+def plain_search(params, levels):
+    """optimize_threshold as one public pipeline per candidate: (level,
+    outage, skip warnings), the first minimum winning."""
+    outages, skipped = [], []
+    for k in range(1, levels + 1):
+        cfg = reference_battery(levels, min(k * 5e-3 / levels, 5e-3))
+        try:
+            outages.append(solve_outage(params, cfg).p_out)
+        except er.NumericalError as exc:
+            outages.append(math.inf)
+            skipped.append(f"threshold level {k} skipped: {exc}")
+    return int(np.argmin(outages)) + 1, min(outages), skipped
+
+
+class TestPrunedSearch:
+    # the search drops a level once LB exceeds the best outage by this many
+    # direct-link failure probabilities
+    MARGIN = 1e-12
+
+    def test_mean_charge_is_the_clipped_harvest_mean(self):
+        # E[min(G, L)] = sum_{g=1..L} Pr{G >= g}, with Pr{G >= g} = 1 - F(g)
+        params = reference_params(p_s_dbm=24.0, n_antennas=2)
+        links, thr = er.link_stats(params), er.thresholds(params.rate)
+        for levels in (1, 20, 200):
+            family = er.ChainFamily(params, links, thr, 5e-3, levels)
+            gain_full, gain_half = family.mean_charge()
+            assert gain_full == pytest.approx(np.sum(1.0 - family.f_full[1:]), rel=1e-12)
+            assert gain_half == pytest.approx((1.0 - family.fail_direct)
+                                              * np.sum(1.0 - family.f_half[1:]), rel=1e-12)
+            # row 0 of any chain is the full-harvest row
+            z0 = family.matrix(levels).z[0]
+            assert gain_full == pytest.approx(np.arange(levels + 1) @ z0, rel=1e-12)
+
+    def test_stack_size_holds_the_stack_bytes(self):
+        params = reference_params()
+        links, thr = er.link_stats(params), er.thresholds(params.rate)
+        sizes = [er.ChainFamily(params, links, thr, 5e-3, levels).stack_size
+                 for levels in (20, 200, 4096)]
+        assert sizes == [2 * 2**20 // (8 * 21**2), 6, 1]
+
+    @settings(max_examples=25, deadline=None)
+    @given(levels=st.one_of(st.integers(1, 200), st.just(200)), n_antennas=st.integers(1, 3),
+           p_s_dbm=st.floats(0.0, 40.0), rician_k=st.floats(0.0, 50.0),
+           d_sd=st.floats(20.0, 150.0), d_sr=st.floats(1.0, 60.0), d_rd=st.floats(10.0, 150.0))
+    def test_bound_below_every_candidate(self, levels, n_antennas, p_s_dbm, rician_k,
+                                         d_sd, d_sr, d_rd):
+        # LB <= p_out within the search's margin (measured: at most 2.2e-16
+        # fd above it, from rounding), so a dropped level can neither win nor
+        # tie, and the pruned search finds the minimum over every candidate
+        params = reference_params(p_s_dbm=p_s_dbm, n_antennas=n_antennas, rician_k=rician_k,
+                                  d_sd=d_sd, d_sr=d_sr, d_rd=d_rd)
+        links, thr = er.link_stats(params), er.thresholds(params.rate)
+        family = er.ChainFamily(params, links, thr, 5e-3, levels)
+        laws = family.steady_states(range(1, levels + 1))
+        outages = []
+        for k in range(1, levels + 1):
+            cfg = reference_battery(levels, min(k * 5e-3 / levels, 5e-3))
+            law = laws[cfg.eps_t_level]
+            if isinstance(law, er.NumericalError):
+                outages.append(math.inf)
+                continue
+            outages.append(er.outage_probability(params, links, thr, cfg, law).p_out)
+            assert outage_bound(family, params, cfg) <= (outages[-1]
+                                                         + self.MARGIN * family.fail_direct)
+        if min(outages) < math.inf:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                found = er.optimize_threshold(params, links, thr, 5e-3, levels)
+            assert found == (int(np.argmin(outages)) + 1, min(outages))
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    @pytest.mark.parametrize("p_dbm, n_antennas", [(18.0, 1), (24.0, 2), (30.0, 3)])
+    def test_matches_plain_candidate_loop_at_200_levels(self, p_dbm, n_antennas, offset):
+        # the optimized L=200 sweep points of the benchmark, bit for bit
+        params = reference_params(p_s_dbm=p_dbm + offset, n_antennas=n_antennas)
+        links, thr = er.link_stats(params), er.thresholds(params.rate)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            level, outage = er.optimize_threshold(params, links, thr, 5e-3, 200)
+        assert (level, outage, [str(w.message) for w in caught]) == plain_search(params, 200)
+
+    def test_prunes_most_levels_at_low_power(self, monkeypatch):
+        # N=1 at 18 dBm: 6 of the 186 distinct levels are solved, against
+        # all 186 by an exhaustive search
+        params = reference_params(p_s_dbm=18.0)
+        links, thr = er.link_stats(params), er.thresholds(params.rate)
+        solve, solved = er.ChainFamily.steady_states, []
+
+        def counting(family, k_thrs):
+            solved.extend(k_thrs)
+            return solve(family, k_thrs)
+        monkeypatch.setattr(er.ChainFamily, "steady_states", counting)
+        level, _ = er.optimize_threshold(params, links, thr, 5e-3, 200)
+        assert len(solved) == len(set(solved)) <= 20
+        cfg = reference_battery(200, level * 5e-3 / 200)
+        assert cfg.eps_t_level in solved
 
 
 class TestEvaluatePoint:
