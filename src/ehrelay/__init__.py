@@ -9,28 +9,24 @@ and a block-level Monte Carlo protocol simulator. A sweep-running CLI
 
 from .errors import NumericalError, ValidationError
 from .specfun import DEFAULT_TOL, Tolerance, lower_incomplete_gamma, marcum_q
-from .channel import (FadeSample, LinkStats, SystemParams, Thresholds,
-                      cdf_h_sd, cdf_h_sr, link_stats, mean_gain,
-                      sample_fade_blocks, sample_fades, thresholds)
+from .channel import (LinkStats, SystemParams, Thresholds, cdf_h_sd, cdf_h_sr,
+                      link_stats, mean_gain, sample_fade_blocks, thresholds)
 from .battery import (BatteryConfig, ChainFamily, SteadyState, TransitionMatrix,
                       build_transition_matrix, discretize_harvest,
                       reachable_steady_state, steady_state)
 from .outage import (MeanSnrs, OutageBreakdown, Point, direct_baseline,
                      energy_sufficiency, evaluate_point, mean_snrs,
                      mode4_joint_cdf, optimize_threshold, outage_probability)
-from .simulator import BlockOutcome, Mode, SimulationResult, simulate, step
+from .simulator import SimulationResult, simulate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BatteryConfig",
-    "BlockOutcome",
     "ChainFamily",
     "DEFAULT_TOL",
-    "FadeSample",
     "LinkStats",
     "MeanSnrs",
-    "Mode",
     "NumericalError",
     "OutageBreakdown",
     "Point",
@@ -58,9 +54,7 @@ __all__ = [
     "outage_probability",
     "reachable_steady_state",
     "sample_fade_blocks",
-    "sample_fades",
     "simulate",
     "steady_state",
-    "step",
     "thresholds",
 ]

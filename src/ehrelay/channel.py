@@ -1,11 +1,12 @@
-"""Link statistics and fading samplers for the three-node relay network.
+"""Link statistics, link CDFs and the fade sampler of the three-node relay network.
 
 The source-relay link sees independent Rician fading on each relay
 antenna; the relay-destination and source-destination links are
 Rayleigh. Everything here works with channel POWER gains: under
 maximum ratio combining/transmission each SNR in the protocol depends
 on the channel vector only through ||h||^2, so individual complex
-antenna coefficients are never materialized.
+antenna coefficients are never materialized. Fades are drawn for many
+blocks at once by `sample_fade_blocks`; one block is its n = 1 case.
 """
 
 import math
@@ -20,13 +21,11 @@ __all__ = [
     "SystemParams",
     "LinkStats",
     "Thresholds",
-    "FadeSample",
     "mean_gain",
     "link_stats",
     "thresholds",
     "cdf_h_sd",
     "cdf_h_sr",
-    "sample_fades",
     "sample_fade_blocks",
 ]
 
@@ -35,6 +34,9 @@ __all__ = [
 # Marcum-Q series walks about 7.6 sqrt(N*K) terms out from its Poisson
 # mode; at DEFAULT_TOL.max_terms = 10000 it first fails near N*K = 1.97e6.
 _MAX_LOS_NK = 1e6
+
+# 2.0 ** (2 * rate), and so the threshold gamma2, is finite exactly below this rate
+_MAX_RATE = 512.0
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,10 @@ class SystemParams:
             raise ValidationError(f"n0 must be > 0, got {self.n0!r}")
         if not 0.0 < self.eta <= 1.0:
             raise ValidationError(f"eta must be in (0, 1], got {self.eta!r}")
-        if not self.rate > 0.0:
-            raise ValidationError(f"rate must be > 0, got {self.rate!r}")
+        if not 0.0 < self.rate < _MAX_RATE:
+            raise ValidationError(
+                f"rate must be in (0, {_MAX_RATE:g}), where gamma2 = 2^(2 rate) - 1 "
+                f"leaves the float range, got {self.rate!r}")
         if not (isinstance(self.n_antennas, int) and self.n_antennas >= 1):
             raise ValidationError(f"n_antennas must be an integer >= 1, got {self.n_antennas!r}")
         if not self.rician_k >= 0.0:
@@ -73,11 +77,18 @@ class SystemParams:
                 f"rician_k={self.rician_k!r} with n_antennas={self.n_antennas} gives "
                 f"N*K = {self.n_antennas * self.rician_k:.6g}; the source-relay CDF is "
                 f"evaluated for N*K <= {_MAX_LOS_NK:.0e} only")
-        for name in ("d_sd", "d_sr", "d_rd"):
-            if not getattr(self, name) > 0.0:
-                raise ValidationError(f"{name} must be > 0, got {getattr(self, name)!r}")
         if not 2.0 <= self.alpha <= 5.0:
             raise ValidationError(f"alpha must be in [2, 5], got {self.alpha!r}")
+        for name in ("d_sd", "d_sr", "d_rd"):
+            d = getattr(self, name)
+            if not d > 0.0:
+                raise ValidationError(f"{name} must be > 0, got {d!r}")
+            try:
+                float(d) ** self.alpha
+            except OverflowError:
+                raise ValidationError(
+                    f"{name} = {d!r} at alpha = {self.alpha!r} puts the path loss "
+                    f"{name}^alpha outside the float range") from None
 
 
 @dataclass(frozen=True)
@@ -113,20 +124,6 @@ class Thresholds:
                 f"gamma2 must equal gamma1^2 + 2*gamma1 (same rate for both "
                 f"slot layouts), got {self.gamma2!r} vs {expected!r}"
             )
-
-
-@dataclass(frozen=True)
-class FadeSample:
-    """Channel power gains drawn for one transmission block."""
-
-    h_sd: float
-    h_sr: float  # ||h_SR||^2 summed over antennas
-    h_rd: float  # ||h_RD||^2 summed over antennas
-
-    def __post_init__(self):
-        for name in ("h_sd", "h_sr", "h_rd"):
-            if not getattr(self, name) >= 0.0:
-                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
 
 def mean_gain(d: float, alpha: float) -> float:
@@ -206,10 +203,3 @@ def sample_fade_blocks(params: SystemParams, links: LinkStats,
         g2 = rng.standard_normal(n)
         h_sr += (mu + sigma * g1) ** 2 + (sigma * g2) ** 2
     return h_sd, h_sr, h_rd
-
-
-def sample_fades(params: SystemParams, links: LinkStats,
-                 rng: np.random.Generator) -> FadeSample:
-    """Draw the fade triple for a single transmission block."""
-    h_sd, h_sr, h_rd = sample_fade_blocks(params, links, rng, 1)
-    return FadeSample(h_sd=float(h_sd[0]), h_sr=float(h_sr[0]), h_rd=float(h_rd[0]))

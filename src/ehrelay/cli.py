@@ -206,7 +206,12 @@ def load_config(path: str) -> SweepSpec:
     levels, 1 mJ threshold, source at 20 dBm).
     """
     with open(path, "r", encoding="utf-8") as fh:
-        overrides = _parse_flat_file(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"config file {path}: not UTF-8 at byte {exc.start} "
+                                  f"({exc.reason})") from None
+    overrides = _parse_flat_file(text)
     if "p_s_dbm_grid" in overrides and "e_t_grid" in overrides:
         raise ValidationError("give either p_s_dbm_grid or e_t_grid, not both")
     return _spec_from_values(overrides)

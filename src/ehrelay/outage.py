@@ -138,19 +138,27 @@ def mode4_joint_cdf(thr: Thresholds, snrs: MeanSnrs, n_antennas: int) -> float:
                 / (gbar_sd * gbar_rd^p * p!)
 
     with the exponentially weighted moments J_k of _exp_weighted_moments.
+    A sum that overflows, divides by an underflowed zero or is not
+    finite raises NumericalError.
     """
     if n_antennas < 1:
         raise ValidationError(f"n_antennas must be >= 1, got {n_antennas!r}")
     g1, g2 = thr.gamma1, thr.gamma2
     gsd, grd = snrs.gbar_sd, snrs.gbar_rd
     direct_fail = -math.expm1(-g1 / gsd)
-    moments = _exp_weighted_moments(g1, g2, gsd, grd, n_antennas)
-    total = 0.0
-    for p in range(n_antennas):
-        inner = 0.0
-        for k in range(p + 1):
-            inner += math.comb(p, k) * g2 ** (p - k) * (-1.0) ** k * moments[k]
-        total += inner / (gsd * grd**p * math.factorial(p))
+    try:
+        moments = _exp_weighted_moments(g1, g2, gsd, grd, n_antennas)
+        total = 0.0
+        for p in range(n_antennas):
+            inner = 0.0
+            for k in range(p + 1):
+                inner += math.comb(p, k) * g2 ** (p - k) * (-1.0) ** k * moments[k]
+            total += inner / (gsd * grd**p * math.factorial(p))
+    except (OverflowError, ZeroDivisionError):
+        total = math.inf
+    if not math.isfinite(total):
+        raise NumericalError(f"mode-4 closed form leaves the float range at gamma2={g2!r}, "
+                             f"gbar_sd={gsd!r}, gbar_rd={grd!r}")
     return min(max(direct_fail - total, 0.0), direct_fail)
 
 

@@ -1,4 +1,4 @@
-"""Monte Carlo engine executing the relaying protocol block by block.
+"""Monte Carlo engine for the relaying protocol, driven by sampled fades.
 
 This is the independent ground-truth path for the closed-form
 analysis: mode selection, energy accumulation with the same battery
@@ -12,22 +12,22 @@ One recursion records the battery at the start of every block; the
 mode, outage and occupancy counts are vectorized reductions over that
 path. The recursion does Python-level work once per regime change
 (a discharge, or a crossing of the cooperation threshold), filling the
-blocks in between with one running sum each. `step` executes a single
-block and is the per-block reference.
+blocks in between with one running sum each. The library has no
+per-block entry point: the one-block reference that `simulate` is
+checked against is `tests/helpers.py::reference_block`, written
+separately from the protocol rules below.
 """
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .battery import BatteryConfig, discretize_harvest
-from .channel import (FadeSample, LinkStats, SystemParams, Thresholds,
-                      sample_fade_blocks)
+from .channel import LinkStats, SystemParams, Thresholds, sample_fade_blocks
 from .errors import ValidationError
 
-__all__ = ["Mode", "BlockOutcome", "SimulationResult", "step", "simulate"]
+__all__ = ["SimulationResult", "simulate"]
 
 # below the threshold the path searches for the crossing in a window of
 # this many blocks, doubling up to the second size while none is found
@@ -36,27 +36,6 @@ _WINDOW_FIRST, _WINDOW_LAST = 64, 65536
 # largest blocks + warmup_blocks of one run: a run peaks at about 66 bytes
 # of numpy arrays a block (fades, gains, path), about 1.8 GiB at this bound
 _MAX_BLOCKS = 30_000_000
-
-
-class Mode(enum.Enum):
-    """Operating mode of one block, set by the direct-link outcome and
-    the battery state: I/II direct link up (harvest vs decode-ready),
-    III/IV direct link down (source retransmits vs relay forwards)."""
-
-    I = "I"
-    II = "II"
-    III = "III"
-    IV = "IV"
-
-
-@dataclass(frozen=True)
-class BlockOutcome:
-    """What happened during a single transmission block."""
-
-    mode: Mode
-    outage: bool
-    battery_level_before: int
-    battery_level_after: int
 
 
 @dataclass(frozen=True)
@@ -91,35 +70,6 @@ def _forward_outage(h_sd, h_sr, h_rd, relay_power, params: SystemParams,
 
 def _harvest_full(params: SystemParams, h_sr):
     return params.eta * params.p_s * h_sr
-
-
-def step(state: int, fades: FadeSample, params: SystemParams, links: LinkStats,
-         thr: Thresholds, cfg: BatteryConfig) -> BlockOutcome:
-    """Execute one transmission block from the given battery level.
-
-    Modes with a healthy direct link never lose the block; a failed
-    direct link either triggers a retransmission (battery below the
-    threshold, full-block harvest continues) or relay forwarding
-    (battery drops by exactly the threshold level count).
-    """
-    if not 0 <= state <= cfg.levels:
-        raise ValidationError(f"battery level must be in 0..{cfg.levels}, got {state!r}")
-    failed = bool(_direct_fails(fades.h_sd, params, thr))
-    ready = state >= cfg.eps_t_level
-    if ready and failed:
-        relay_power = 2.0 * (cfg.eps_t_level * cfg.step)
-        outage = bool(_forward_outage(fades.h_sd, fades.h_sr, fades.h_rd,
-                                      relay_power, params, thr))
-        return BlockOutcome(Mode.IV, outage, state, state - cfg.eps_t_level)
-    if ready:
-        gained = discretize_harvest(0.5 * _harvest_full(params, fades.h_sr), cfg)
-        return BlockOutcome(Mode.II, False, state, min(state + gained, cfg.levels))
-    gained = discretize_harvest(_harvest_full(params, fades.h_sr), cfg)
-    after = min(state + gained, cfg.levels)
-    if failed:
-        return BlockOutcome(Mode.III, bool(_retransmit_outage(fades.h_sd, params, thr)),
-                            state, after)
-    return BlockOutcome(Mode.I, False, state, after)
 
 
 def _charge(seg: np.ndarray, state, gains: np.ndarray, cap) -> np.ndarray:
@@ -187,12 +137,15 @@ def simulate(params: SystemParams, links: LinkStats, thr: Thresholds,
     discretization costs; occupancy is then reported by binning the
     stored energy onto the level grid.
 
-    The same seed always produces the identical result, field for field.
+    The seed must be >= 0; the same seed always produces the identical
+    result, field for field.
     Every block is held in memory at once, so blocks + warmup_blocks is
     refused above 30000000.
     """
     if blocks < 1:
         raise ValidationError(f"blocks must be >= 1, got {blocks!r}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed!r}")
     if warmup_blocks < 0:
         raise ValidationError(f"warmup_blocks must be >= 0, got {warmup_blocks!r}")
     if blocks + warmup_blocks > _MAX_BLOCKS:

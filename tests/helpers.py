@@ -1,5 +1,7 @@
-"""Shared test fixtures: the reference network setup and the analytic
-oracles used across the suite."""
+"""Shared test fixtures: the reference network setup, the analytic
+oracles and the one-block protocol reference used across the suite."""
+
+import math
 
 import numpy as np
 
@@ -41,6 +43,46 @@ def solve_outage(params, battery):
     tm = er.build_transition_matrix(params, links, thr, battery)
     pi = er.reachable_steady_state(tm)
     return er.outage_probability(params, links, thr, battery, pi)
+
+
+def reference_block(state, h_sd, h_sr, h_rd, params, thr, cfg, continuous=False):
+    """One block of the protocol from battery `state`, with plain floats:
+    (mode 1-4, outage, battery after the block).
+
+    The battery is a level index, or joules with `continuous`; it is
+    charged once it holds the threshold (eps_t_level levels, or e_t).
+    Direct link up: mode 1 (not charged) harvests the whole block, mode
+    2 (charged) half of it, since the relay listens for the other half.
+    Direct link down: mode 3 (not charged) has the source repeat the
+    packet while the relay harvests the whole block, lost unless twice
+    the direct SNR reaches gamma2; mode 4 (charged) has the relay spend
+    the threshold energy over half a block (power 2 e) to forward, lost
+    unless both the relay's SNR and the combined direct-plus-relay SNR
+    reach gamma2. A discrete harvest rounds to the largest level below
+    it; the battery saturates at capacity. Written from the protocol
+    alone, independently of the simulator's code."""
+    p_s, n0 = params.p_s, params.n0
+    if continuous:
+        drain, relay_energy, top = cfg.e_t, cfg.e_t, cfg.capacity
+    else:
+        drain, relay_energy, top = cfg.eps_t_level, cfg.eps_t_level * cfg.step, cfg.levels
+    direct_down = h_sd < thr.gamma1 * n0 / p_s
+    charged = state >= drain
+    if charged and direct_down:
+        relay_snr = p_s * h_sr / n0
+        combined_snr = p_s * h_sd / n0 + 2.0 * relay_energy * h_rd / n0
+        return 4, min(relay_snr, combined_snr) < thr.gamma2, state - drain
+    harvest = params.eta * p_s * h_sr
+    if charged:
+        harvest *= 0.5
+    if not continuous:
+        harvest = min(max(math.ceil(harvest / cfg.step) - 1, 0), cfg.levels)
+    after = min(state + harvest, top)
+    if charged:
+        return 2, False, after
+    if direct_down:
+        return 3, 2.0 * (p_s * h_sd / n0) < thr.gamma2, after
+    return 1, False, after
 
 
 def _power_and_sum(z, k):

@@ -155,15 +155,13 @@ class TestSamplers:
         b = er.sample_fade_blocks(params, links, np.random.default_rng(5), 1000)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
-        fa = er.sample_fades(params, links, np.random.default_rng(5))
-        fb = er.sample_fades(params, links, np.random.default_rng(5))
-        assert fa == fb
 
     def test_single_sample_nonnegative(self):
         params = reference_params()
         links = er.link_stats(params)
-        fades = er.sample_fades(params, links, np.random.default_rng(0))
-        assert fades.h_sd >= 0.0 and fades.h_sr >= 0.0 and fades.h_rd >= 0.0
+        fades = er.sample_fade_blocks(params, links, np.random.default_rng(0), 1)
+        assert [f.shape for f in fades] == [(1,), (1,), (1,)]
+        assert all(f[0] >= 0.0 for f in fades)
 
 
 class TestParamValidation:
@@ -178,6 +176,20 @@ class TestParamValidation:
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(er.ValidationError, match="d_rd"):
             reference_params(d_rd=0.0)
+
+    def test_rate_bounded_by_float_range_of_gamma2(self):
+        assert er.thresholds(reference_params(rate=511.9).rate).gamma2 < math.inf
+        for rate in (512.0, 1000.0):
+            with pytest.raises(er.ValidationError, match="rate must be in"):
+                reference_params(rate=rate)
+
+    @pytest.mark.parametrize("field, refused, accepted, alpha", [
+        ("d_sd", 1e300, 1e102, 3.0), ("d_sr", 1e70, 1e61, 5.0), ("d_rd", 1e103, 1e102, 3.0)])
+    def test_rejects_overflowing_path_loss_by_name(self, field, refused, accepted, alpha):
+        with pytest.raises(er.ValidationError, match=f"{field} = .* outside the float range"):
+            reference_params(alpha=alpha, **{field: refused})
+        params = reference_params(alpha=alpha, **{field: accepted})
+        assert getattr(er.link_stats(params), "omega" + field[1:]) > 0.0
 
     def test_rician_k_bounded_by_antenna_count(self):
         assert reference_params(n_antennas=4, rician_k=2.5e5).rician_k == 2.5e5

@@ -94,6 +94,15 @@ class TestLoadConfig:
         assert cli.main(["analyze", "--config", cfg]) == 1
         assert line.split()[0] in capsys.readouterr().err
 
+    def test_rejects_non_utf8_file_naming_file_and_byte(self, tmp_path, capsys):
+        path = tmp_path / "utf16.cfg"
+        path.write_bytes("seed = 1\n".encode("utf-16"))     # leading \xff\xfe
+        with pytest.raises(er.ValidationError, match=r"utf16\.cfg: not UTF-8 at byte 0"):
+            cli.load_config(str(path))
+        path.write_bytes(b"seed = 1\n# caf\xe9\n")
+        assert cli.main(["analyze", "--config", str(path)]) == 1
+        assert "utf16.cfg: not UTF-8 at byte 14" in capsys.readouterr().err
+
     def test_huge_integer_seed_parses(self, tmp_path):
         seed = int("9" * 400)
         assert cli.load_config(write_cfg(tmp_path, f"seed = {seed}\n")).seed == seed
@@ -302,6 +311,27 @@ class TestMainExitCodes:
         cfg = write_cfg(tmp_path, "rician_k = 1e9\n")
         assert cli.main(["analyze", "--config", cfg]) == 1
         assert "rician_k" in capsys.readouterr().err
+
+    def test_negative_seed_exits_1_naming_it(self, capsys):
+        assert cli.main(["simulate", "--blocks", "15000", "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text, code, named", [
+        ("rate = 1000", 1, "rate"),                               # gamma2 = 2^2000 - 1
+        ("d_sd = 1e300", 1, "d_sd"),                              # d_sd^3 overflows
+        ("alpha = 5\nd_sr = 1e70", 1, "d_sr"),                    # d_sr^5 overflows
+        ("rate = 300", 2, "mode-4 closed form"),                  # Poisson average m**5
+        ("rate = 300\nn_antennas = 3", 2, "mode-4 closed form"),
+        ("capacity = 1e-300\ne_t = 1e-301", 2, "mode-4 closed form"),
+        ("capacity = 1e-300\ne_t = 1e-301\nn_antennas = 3", 2, "mode-4 closed form"),
+    ])
+    def test_float_range_overflow_exits_without_traceback(self, tmp_path, capsys, text,
+                                                          code, named):
+        cfg = write_cfg(tmp_path, text + "\n")
+        assert cli.main(["analyze", "--config", cfg]) == code
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
 
     def test_usage_error_is_validation(self):
         assert cli.main(["no-such-verb"]) == 1

@@ -2,7 +2,8 @@
 imports another module's private (underscore) names or reads a private
 attribute of anything but `self` or `cls`, the runtime imports nothing
 outside the standard library and numpy, and the CLI takes its analytic
-numbers from `outage.evaluate_point` alone."""
+numbers from `outage.evaluate_point` alone. The test suite's one-block
+protocol reference shares no code with the simulator it checks."""
 
 import ast
 import pathlib
@@ -11,6 +12,7 @@ import sys
 import pytest
 
 SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "ehrelay").glob("*.py"))
+HELPERS = pathlib.Path(__file__).parent / "helpers.py"
 ALLOWED_THIRD_PARTY = {"numpy"}
 
 
@@ -71,3 +73,32 @@ def test_cli_evaluates_points_only_through_evaluate_point():
                          else [node.id] if isinstance(node, ast.Name) else [])
             if name in POINT_STAGES]
     assert not used, f"cli.py bypasses evaluate_point: {used}"
+
+
+def test_reference_block_shares_no_simulator_code():
+    # helpers.reference_block is the oracle simulate is compared with, block
+    # for block; reusing the simulator's protocol rules would let a fault in
+    # them reach both sides of that comparison
+    tree = ast.parse(HELPERS.read_text(encoding="utf-8"))
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "reference_block"
+               for node in tree.body)
+    package = {alias.asname or alias.name for node in imports(HELPERS)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name.split(".")[0] == "ehrelay"}
+    used = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            used += [alias.name for alias in node.names
+                     if alias.name.startswith("ehrelay.simulator")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ehrelay":
+            used += [f"{node.module}.{alias.name}" for alias in node.names
+                     if node.module.startswith("ehrelay.simulator")
+                     or alias.name.startswith("_") or alias.name == "simulator"]
+        elif isinstance(node, ast.Attribute) and (node.attr == "simulator"
+                                                  or node.attr.startswith("_")):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in package:
+                used.append(ast.unparse(node))
+    assert not used, f"helpers.py reaches into the package: {used}"

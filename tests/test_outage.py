@@ -76,6 +76,17 @@ class TestMode4JointCdf:
                                                            gsd, grd, n), abs=1e-8)
 
 
+    @pytest.mark.parametrize("thr, snrs, n", [
+        (er.thresholds(300.0), er.MeanSnrs(195.3, 5.83), 1),          # m**5 overflows
+        (er.thresholds(300.0), er.MeanSnrs(195.3, 5.83), 3),
+        (er.thresholds(1.0), er.MeanSnrs(195.3, 5.83e-298), 1),       # vanishing relay energy
+        (er.thresholds(1.0), er.MeanSnrs(195.3, 5.83e-298), 3),
+        (er.Thresholds(1e-170, 1e-170**2 + 2e-170), er.MeanSnrs(1.0, 1e-200), 3),  # grd**2 == 0
+    ])
+    def test_float_range_failures_are_numerical_errors(self, thr, snrs, n):
+        with pytest.raises(er.NumericalError, match="mode-4 closed form leaves the float range"):
+            er.mode4_joint_cdf(thr, snrs, n)
+
 class TestEnergySufficiency:
     def test_uniform_mass(self):
         cfg = er.BatteryConfig(capacity=1.0, levels=4, e_t=0.25)

@@ -1,7 +1,8 @@
-"""Protocol simulator tests: golden single-block traces, per-block
-invariants, determinism, exact agreement between the aggregated
-fast path and block-by-block execution of `step`, the segment-wise
-battery path against a plain per-block loop, and memory bounds."""
+"""Protocol simulator tests: golden single-block traces and per-block
+invariants of the test suite's own one-block reference, determinism,
+exact agreement between `simulate` and a block-by-block loop of that
+reference in both battery modes, the segment-wise battery path against
+a plain per-block loop, and memory bounds."""
 
 import math
 import tracemalloc
@@ -11,18 +12,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ehrelay as er
-from ehrelay.simulator import Mode, _battery_path
-from helpers import reference_battery, reference_params
+from ehrelay.simulator import _battery_path
+from helpers import reference_battery, reference_block, reference_params
 
-# fade triples drawn once with the seeds below at the reference setup and
-# frozen together with the hand-traced outcomes (arithmetic redone with
-# plain formulas during development)
-GOLDEN_SEED_42 = er.FadeSample(h_sd=4.6957107583110085e-06,
-                               h_sr=0.0012787248448589777,
-                               h_rd=6.81102870202843e-06)
-GOLDEN_SEED_53 = er.FadeSample(h_sd=5.92235705303264e-09,
-                               h_sr=0.0013457393875320495,
-                               h_rd=8.222516630400366e-06)
+# fade triples (h_sd, h_sr, h_rd) drawn once with the seeds below at the
+# reference setup and frozen together with the hand-traced outcomes
+# (arithmetic redone with plain formulas during development)
+GOLDEN_SEED_42 = (4.6957107583110085e-06, 0.0012787248448589777, 6.81102870202843e-06)
+GOLDEN_SEED_53 = (5.92235705303264e-09, 0.0013457393875320495, 8.222516630400366e-06)
 
 
 def _setup(p_s_dbm=20.0, n_antennas=1):
@@ -32,46 +29,41 @@ def _setup(p_s_dbm=20.0, n_antennas=1):
     return params, links, thr
 
 
+def _one_block_fades(params, links, seed):
+    fades = er.sample_fade_blocks(params, links, np.random.default_rng(seed), 1)
+    return tuple(float(f[0]) for f in fades)
+
+
 class TestStepGolden:
     def test_frozen_fades_still_reproduce(self):
         params, links, _ = _setup()
-        assert er.sample_fades(params, links, np.random.default_rng(42)) == GOLDEN_SEED_42
-        assert er.sample_fades(params, links, np.random.default_rng(53)) == GOLDEN_SEED_53
+        assert _one_block_fades(params, links, 42) == GOLDEN_SEED_42
+        assert _one_block_fades(params, links, 53) == GOLDEN_SEED_53
 
     def test_seed_42_direct_link_up(self):
         # gamma_sd = 0.1 * 4.6957e-6 / 1e-9 = 469.6 >= gamma1: direct link fine;
         # harvest 0.5 * 0.1 * 1.2787e-3 = 6.39e-5 J < one 2.5e-4 J level
-        params, links, thr = _setup()
+        params, _, thr = _setup()
         cfg = reference_battery()
-        out = er.step(0, GOLDEN_SEED_42, params, links, thr, cfg)
-        assert out == er.BlockOutcome(Mode.I, False, 0, 0)
-        out = er.step(10, GOLDEN_SEED_42, params, links, thr, cfg)
-        assert out == er.BlockOutcome(Mode.II, False, 10, 10)
+        assert reference_block(0, *GOLDEN_SEED_42, params, thr, cfg) == (1, False, 0)
+        assert reference_block(10, *GOLDEN_SEED_42, params, thr, cfg) == (2, False, 10)
 
     def test_seed_53_direct_link_down(self):
         # gamma_sd = 0.592 < gamma1: direct fails; retransmission doubles it
         # to 1.18 < gamma2 = 3 (outage); forwarding sees gamma_sr = 1.3e5 and
         # gamma_sd + gamma_rd = 0.59 + 16.4 >= 3 (saved), battery drops 4
-        params, links, thr = _setup()
+        params, _, thr = _setup()
         cfg = reference_battery()
-        assert er.step(0, GOLDEN_SEED_53, params, links, thr, cfg) == \
-            er.BlockOutcome(Mode.III, True, 0, 0)
-        assert er.step(7, GOLDEN_SEED_53, params, links, thr, cfg) == \
-            er.BlockOutcome(Mode.IV, False, 7, 3)
-        assert er.step(20, GOLDEN_SEED_53, params, links, thr, cfg) == \
-            er.BlockOutcome(Mode.IV, False, 20, 16)
+        assert reference_block(0, *GOLDEN_SEED_53, params, thr, cfg) == (3, True, 0)
+        assert reference_block(7, *GOLDEN_SEED_53, params, thr, cfg) == (4, False, 3)
+        assert reference_block(20, *GOLDEN_SEED_53, params, thr, cfg) == (4, False, 16)
 
     def test_charging_at_high_power(self):
         # same fade at 30 dBm: harvest = 0.5 * 1.0 * 1.2787e-3 = 6.39e-4 J,
         # strictly between levels 2 and 3
-        params, links, thr = _setup(p_s_dbm=30.0)
-        out = er.step(0, GOLDEN_SEED_42, params, links, thr, reference_battery())
-        assert out == er.BlockOutcome(Mode.I, False, 0, 2)
-
-    def test_rejects_bad_state(self):
-        params, links, thr = _setup()
-        with pytest.raises(er.ValidationError):
-            er.step(21, GOLDEN_SEED_42, params, links, thr, reference_battery())
+        params, _, thr = _setup(p_s_dbm=30.0)
+        assert reference_block(0, *GOLDEN_SEED_42, params, thr, reference_battery()) == \
+            (1, False, 2)
 
 
 class TestStepInvariants:
@@ -79,24 +71,20 @@ class TestStepInvariants:
         params, links, thr = _setup(p_s_dbm=25.0, n_antennas=2)
         cfg = reference_battery()
         rng = np.random.default_rng(314)
-        h_sd, h_sr, h_rd = er.sample_fade_blocks(params, links, rng, 5000)
+        fades = er.sample_fade_blocks(params, links, rng, 5000)
         level = 0
-        for m in range(5000):
-            fades = er.FadeSample(float(h_sd[m]), float(h_sr[m]), float(h_rd[m]))
-            out = er.step(level, fades, params, links, thr, cfg)
-            assert 0 <= out.battery_level_after <= cfg.levels
-            ready = out.battery_level_before >= cfg.eps_t_level
-            if out.mode in (Mode.II, Mode.IV):
-                assert ready
+        for h_sd, h_sr, h_rd in zip(*(f.tolist() for f in fades)):
+            mode, outage, after = reference_block(level, h_sd, h_sr, h_rd, params, thr, cfg)
+            assert 0 <= after <= cfg.levels
+            ready = level >= cfg.eps_t_level
+            assert ready == (mode in (2, 4))
+            if mode in (1, 2):
+                assert not outage
+            if mode == 4:
+                assert after == level - cfg.eps_t_level
             else:
-                assert not ready
-            if out.mode in (Mode.I, Mode.II):
-                assert not out.outage
-            if out.mode == Mode.IV:
-                assert out.battery_level_after == out.battery_level_before - cfg.eps_t_level
-            else:
-                assert out.battery_level_after >= out.battery_level_before
-            level = out.battery_level_after
+                assert after >= level
+            level = after
 
 
 class TestSimulate:
@@ -107,80 +95,41 @@ class TestSimulate:
         b = er.simulate(params, links, thr, cfg, blocks=50_000, seed=9)
         assert a == b
 
-    @pytest.mark.parametrize("warmup_blocks", [0, 37])
-    def test_fast_path_matches_step_loop(self, warmup_blocks):
-        params, links, thr = _setup(p_s_dbm=25.0, n_antennas=2)
-        cfg = reference_battery()
-        blocks = 20_000
-        res = er.simulate(params, links, thr, cfg, blocks=blocks, seed=77,
-                          warmup_blocks=warmup_blocks)
-        rng = np.random.default_rng(77)
-        h_sd, h_sr, h_rd = er.sample_fade_blocks(params, links, rng,
-                                                 warmup_blocks + blocks)
-        order = (Mode.I, Mode.II, Mode.III, Mode.IV)
-        counts = [0, 0, 0, 0]
-        outs = [0, 0, 0, 0]
-        occupancy = [0] * (cfg.levels + 1)
-        level = 0
-        for m in range(warmup_blocks + blocks):
-            out = er.step(level, er.FadeSample(float(h_sd[m]), float(h_sr[m]),
-                                               float(h_rd[m])),
-                          params, links, thr, cfg)
-            if m >= warmup_blocks:
-                occupancy[level] += 1
-                idx = order.index(out.mode)
-                counts[idx] += 1
-                outs[idx] += out.outage
-            level = out.battery_level_after
-        assert res.mode_counts == tuple(counts)
-        assert res.mode_outages == tuple(outs)
-        assert res.level_occupancy == tuple(occupancy)
-        assert res.outages == sum(outs)
-
     @pytest.mark.parametrize("p_s_dbm, n_antennas, levels",
                              [(25.0, 2, 20), (15.0, 3, 200)])
-    def test_continuous_matches_joule_loop(self, p_s_dbm, n_antennas, levels):
-        # block-by-block reference in joules, written from the protocol with
-        # plain float arithmetic: full-block harvest below e_t, half-block
-        # harvest or an e_t drain at or above it, saturation at capacity;
-        # e_t lies off the level grid, so draining whole levels would differ
+    @pytest.mark.parametrize("continuous", [False, True], ids=["discrete", "continuous"])
+    def test_matches_reference_block_loop(self, continuous, p_s_dbm, n_antennas, levels):
+        # e_t lies off the level grid, so the discrete battery drains whole
+        # levels (eps_t_level) where the continuous one drains e_t exactly
         params, links, thr = _setup(p_s_dbm=p_s_dbm, n_antennas=n_antennas)
         cfg = reference_battery(levels=levels, e_t=1.13e-3)
-        blocks, warmup = 20_000, 37
-        res = er.simulate(params, links, thr, cfg, blocks=blocks, seed=5,
-                          warmup_blocks=warmup, continuous_battery=True)
-        rng = np.random.default_rng(5)
-        fades = er.sample_fade_blocks(params, links, rng, warmup + blocks)
-        p_s, n0 = params.p_s, params.n0
+        blocks, warmup, seed = 20_000, 37, 5
+        res = er.simulate(params, links, thr, cfg, blocks=blocks, seed=seed,
+                          warmup_blocks=warmup, continuous_battery=continuous)
+        fades = er.sample_fade_blocks(params, links, np.random.default_rng(seed),
+                                      warmup + blocks)
         counts = [0, 0, 0, 0]
         outs = [0, 0, 0, 0]
         occupancy = [0] * (cfg.levels + 1)
-        energy = 0.0
+        state = 0.0 if continuous else 0
         for m, (h_sd, h_sr, h_rd) in enumerate(zip(*(f.tolist() for f in fades))):
-            counted = m >= warmup
-            failed = h_sd < thr.gamma1 * n0 / p_s
-            harvest = params.eta * p_s * h_sr
-            if counted:
-                occupancy[min(int(energy * (cfg.levels / cfg.capacity)), cfg.levels)] += 1
-            if energy >= cfg.e_t:
-                mode = 3 if failed else 1
-                outage = failed and min(p_s * h_sr / n0, p_s * h_sd / n0
-                                        + 2.0 * cfg.e_t * h_rd / n0) < thr.gamma2
-                energy = energy - cfg.e_t if failed else min(energy + 0.5 * harvest,
-                                                             cfg.capacity)
-            else:
-                mode = 2 if failed else 0
-                outage = failed and 2.0 * (p_s * h_sd / n0) < thr.gamma2
-                energy = min(energy + harvest, cfg.capacity)
-            if counted:
-                counts[mode] += 1
-                outs[mode] += outage
+            mode, outage, after = reference_block(state, h_sd, h_sr, h_rd, params, thr, cfg,
+                                                  continuous=continuous)
+            if m >= warmup:
+                level = (min(int(state * (cfg.levels / cfg.capacity)), cfg.levels)
+                         if continuous else state)
+                occupancy[level] += 1
+                counts[mode - 1] += 1
+                outs[mode - 1] += outage
+            state = after
+        if levels == 200:
+            assert min(counts) > 0       # this setting visits all four modes
         estimate = sum(outs) / blocks
         assert res == er.SimulationResult(
             blocks=blocks, outages=sum(outs), mode_counts=tuple(counts),
             mode_outages=tuple(outs), level_occupancy=tuple(occupancy),
             outage_estimate=estimate,
-            outage_stderr=math.sqrt(estimate * (1.0 - estimate) / blocks), seed=5)
+            outage_stderr=math.sqrt(estimate * (1.0 - estimate) / blocks), seed=seed)
 
     def test_counters_are_consistent(self):
         params, links, thr = _setup(p_s_dbm=25.0)
@@ -241,6 +190,8 @@ class TestSimulate:
         with pytest.raises(er.ValidationError):
             er.simulate(params, links, thr, reference_battery(), blocks=10,
                         seed=1, warmup_blocks=-1)
+        with pytest.raises(er.ValidationError, match="seed must be >= 0, got -1"):
+            er.simulate(params, links, thr, reference_battery(), blocks=10, seed=-1)
 
 
 class TestSimulateProperties:
