@@ -8,7 +8,7 @@ and a block-level Monte Carlo protocol simulator. A sweep-running CLI
 """
 
 from .errors import NumericalError, ValidationError
-from .specfun import DEFAULT_TOL, Tolerance, lower_incomplete_gamma, marcum_q
+from .specfun import lower_incomplete_gamma, marcum_q
 from .channel import (LinkStats, SystemParams, Thresholds, cdf_h_sd, cdf_h_sr,
                       link_stats, mean_gain, sample_fade_blocks, thresholds)
 from .battery import (BatteryConfig, ChainFamily, SteadyState, TransitionMatrix,
@@ -16,7 +16,7 @@ from .battery import (BatteryConfig, ChainFamily, SteadyState, TransitionMatrix,
                       reachable_steady_state, steady_state)
 from .outage import (MeanSnrs, OutageBreakdown, Point, direct_baseline,
                      energy_sufficiency, evaluate_point, mean_snrs,
-                     mode4_joint_cdf, optimize_threshold, outage_probability)
+                     mode4_joint_cdf, outage_probability)
 from .simulator import SimulationResult, simulate
 
 __version__ = "0.1.0"
@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BatteryConfig",
     "ChainFamily",
-    "DEFAULT_TOL",
     "LinkStats",
     "MeanSnrs",
     "NumericalError",
@@ -34,7 +33,6 @@ __all__ = [
     "SteadyState",
     "SystemParams",
     "Thresholds",
-    "Tolerance",
     "TransitionMatrix",
     "ValidationError",
     "build_transition_matrix",
@@ -50,7 +48,6 @@ __all__ = [
     "mean_gain",
     "mean_snrs",
     "mode4_joint_cdf",
-    "optimize_threshold",
     "outage_probability",
     "reachable_steady_state",
     "sample_fade_blocks",

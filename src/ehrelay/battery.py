@@ -293,10 +293,9 @@ class ChainFamily:
         reachable_steady_state give. The levels are taken in increasing
         order, so the chains of a stack have nearly the same band, and
         filled stack_size at a time into one buffer (six chains at
-        L = 200). Chains whose reachable set is every state are
-        solved in that buffer by one stacked GTH pass; the others are cut
-        down to their reachable sets and solved in stacks of equal size.
-        A chain that fails leaves the others of its stack as they are.
+        L = 200), which the solve shared with reachable_steady_state
+        works on in place. A chain that fails leaves the others of its
+        stack as they are.
         """
         n = self.levels + 1
         k_thrs = sorted(set(k_thrs))
@@ -305,25 +304,8 @@ class ChainFamily:
         laws = {}
         for first in range(0, len(k_thrs), per_stack):
             chunk = k_thrs[first:first + per_stack]
-            whole, cut = [], {}
-            for slot, failed in enumerate(self.fill(chunk, buf[:len(chunk)])):
-                k_thr, z = chunk[slot], buf[slot]
-                if failed is not None:
-                    laws[k_thr] = failed
-                    continue
-                seen = _reachable_from(z > 0.0)
-                if seen.all():
-                    if len(whole) < slot:
-                        # move it up over the slots of chains that left the stack
-                        buf[len(whole)] = z
-                    whole.append(k_thr)
-                else:
-                    idx = np.flatnonzero(seen)
-                    cut.setdefault(idx.size, []).append((k_thr, idx, z[np.ix_(idx, idx)]))
-            laws.update(_stack_laws(whole, buf[:len(whole)], n))
-            for group in cut.values():
-                keys, idxs, subs = zip(*group)
-                laws.update(_stack_laws(keys, np.stack(subs), n, idxs))
+            stack = buf[:len(chunk)]
+            laws.update(zip(chunk, _stationary_laws(stack, self.fill(chunk, stack))))
         return laws
 
 
@@ -377,26 +359,43 @@ def reachable_steady_state(tm: TransitionMatrix) -> SteadyState:
     subtractions and therefore keeps full relative accuracy however
     stiff the chain is. On an irreducible chain this is `steady_state`.
     """
-    z = tm.z
-    n = z.shape[0]
-    idx = np.flatnonzero(_reachable_from(z > 0.0))
-    # the solve works in place, on a copy
-    sub = z.copy() if idx.size == n else z[np.ix_(idx, idx)]
-    law = _law(*_gth_stationary(sub), n, idx)
+    law, = _stationary_laws(tm.z.copy()[None], [None])
     if isinstance(law, NumericalError):
         raise law
     return law
 
 
-def _stack_laws(keys, stack: np.ndarray, n: int, idxs=None) -> dict:
-    """{key: SteadyState or NumericalError} of the chains of `stack`, one key
-    each, solved in place; idxs[i] gives the states of chain i among n
-    (all n when idxs is None)."""
-    if not keys:
-        return {}
-    pis, pivots = _gth_stationary(stack)
-    return {key: _law(pis[i], pivots[i], n, None if idxs is None else idxs[i])
-            for i, key in enumerate(keys)}
+def _stationary_laws(stack: np.ndarray, failed: list) -> list:
+    """SteadyState, or NumericalError, of each chain of an (m, n, n) stack
+    as run from its empty battery; the stack is overwritten.
+
+    failed[i] is None for a chain to solve, or the NumericalError it
+    already carries (from ChainFamily.fill), which is returned for it as
+    is. Chains whose reachable set is every state are moved to the front
+    of the stack and solved there by one stacked GTH pass; the others are
+    cut down to their reachable sets and solved in stacks of equal size.
+    """
+    n = stack.shape[-1]
+    laws = list(failed)
+    groups = {}
+    for slot, z in enumerate(stack):
+        if failed[slot] is not None:
+            continue
+        idx = np.flatnonzero(_reachable_from(z > 0.0))
+        group = groups.setdefault(idx.size, [])
+        if idx.size < n:
+            group.append((slot, idx, z[np.ix_(idx, idx)]))
+            continue
+        if len(group) < slot:
+            # move it up over the slots of chains that left the stack
+            stack[len(group)] = z
+        group.append((slot, None, None))
+    for size, group in groups.items():
+        slots, idxs, subs = zip(*group)
+        pis, pivots = _gth_stationary(stack[:len(group)] if size == n else np.stack(subs))
+        for i, slot in enumerate(slots):
+            laws[slot] = _law(pis[i], pivots[i], n, idxs[i])
+    return laws
 
 
 def _law(pi: np.ndarray, pivots: np.ndarray, n: int, idx=None):

@@ -32,7 +32,7 @@ __all__ = [
 
 # Largest N*K (antennas times Rician K-factor) accepted. cdf_h_sr's
 # Marcum-Q series walks about 7.6 sqrt(N*K) terms out from its Poisson
-# mode; at DEFAULT_TOL.max_terms = 10000 it first fails near N*K = 1.97e6.
+# mode; at its cap of 10000 terms it first fails near N*K = 1.97e6.
 _MAX_LOS_NK = 1e6
 
 # 2.0 ** (2 * rate), and so the threshold gamma2, is finite exactly below this rate
@@ -64,10 +64,7 @@ class SystemParams:
             raise ValidationError(f"n0 must be > 0, got {self.n0!r}")
         if not 0.0 < self.eta <= 1.0:
             raise ValidationError(f"eta must be in (0, 1], got {self.eta!r}")
-        if not 0.0 < self.rate < _MAX_RATE:
-            raise ValidationError(
-                f"rate must be in (0, {_MAX_RATE:g}), where gamma2 = 2^(2 rate) - 1 "
-                f"leaves the float range, got {self.rate!r}")
+        _check_rate(self.rate)
         if not (isinstance(self.n_antennas, int) and self.n_antennas >= 1):
             raise ValidationError(f"n_antennas must be an integer >= 1, got {self.n_antennas!r}")
         if not self.rician_k >= 0.0:
@@ -77,18 +74,39 @@ class SystemParams:
                 f"rician_k={self.rician_k!r} with n_antennas={self.n_antennas} gives "
                 f"N*K = {self.n_antennas * self.rician_k:.6g}; the source-relay CDF is "
                 f"evaluated for N*K <= {_MAX_LOS_NK:.0e} only")
-        if not 2.0 <= self.alpha <= 5.0:
-            raise ValidationError(f"alpha must be in [2, 5], got {self.alpha!r}")
         for name in ("d_sd", "d_sr", "d_rd"):
-            d = getattr(self, name)
-            if not d > 0.0:
-                raise ValidationError(f"{name} must be > 0, got {d!r}")
-            try:
-                float(d) ** self.alpha
-            except OverflowError:
-                raise ValidationError(
-                    f"{name} = {d!r} at alpha = {self.alpha!r} puts the path loss "
-                    f"{name}^alpha outside the float range") from None
+            _check_distance(name, getattr(self, name), self.alpha)
+
+
+def _check_rate(rate: float) -> None:
+    """Refuse a rate whose thresholds 2^rate - 1 < 2^(2 rate) - 1 are not
+    both positive, distinct and finite."""
+    if not 0.0 < rate < _MAX_RATE:
+        raise ValidationError(
+            f"rate must be in (0, {_MAX_RATE:g}), where gamma2 = 2^(2 rate) - 1 "
+            f"leaves the float range, got {rate!r}")
+    gamma1, gamma2 = 2.0**rate - 1.0, 2.0 ** (2.0 * rate) - 1.0
+    if not 0.0 < gamma1 < gamma2:
+        raise ValidationError(
+            f"rate = {rate!r} is too small: the thresholds 2^rate - 1 and "
+            f"2^(2 rate) - 1 round to {gamma1!r} and {gamma2!r}")
+
+
+def _check_distance(name: str, d: float, alpha: float) -> None:
+    """Refuse a path-loss exponent outside [2, 5], or a distance `name` that
+    is not positive or whose path loss d^alpha leaves the float range."""
+    if not 2.0 <= alpha <= 5.0:
+        raise ValidationError(f"alpha must be in [2, 5], got {alpha!r}")
+    if not d > 0.0:
+        raise ValidationError(f"{name} must be > 0, got {d!r}")
+    try:
+        loss = float(d) ** alpha
+    except OverflowError:
+        loss = math.inf
+    if loss == math.inf:
+        raise ValidationError(
+            f"{name} = {d!r} at alpha = {alpha!r} puts the path loss "
+            f"{name}^alpha outside the float range")
 
 
 @dataclass(frozen=True)
@@ -128,10 +146,7 @@ class Thresholds:
 
 def mean_gain(d: float, alpha: float) -> float:
     """Mean channel power gain (1 + d^alpha)^-1 at distance d."""
-    if not d > 0.0:
-        raise ValidationError(f"distance must be > 0, got {d!r}")
-    if not 2.0 <= alpha <= 5.0:
-        raise ValidationError(f"alpha must be in [2, 5], got {alpha!r}")
+    _check_distance("distance", d, alpha)
     return 1.0 / (1.0 + d**alpha)
 
 
@@ -146,8 +161,7 @@ def link_stats(params: SystemParams) -> LinkStats:
 
 def thresholds(rate: float) -> Thresholds:
     """Decode thresholds gamma1 = 2^rate - 1 and gamma2 = 2^(2 rate) - 1."""
-    if not rate > 0.0:
-        raise ValidationError(f"rate must be > 0, got {rate!r}")
+    _check_rate(rate)
     return Thresholds(gamma1=2.0**rate - 1.0, gamma2=2.0 ** (2.0 * rate) - 1.0)
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "mode4_joint_cdf",
     "outage_probability",
     "direct_baseline",
-    "optimize_threshold",
     "evaluate_point",
 ]
 
@@ -205,34 +204,6 @@ def direct_baseline(params: SystemParams, links: LinkStats, thr: Thresholds) -> 
     return cdf_h_sd(thr.gamma1 * params.n0 / params.p_s, links.omega_sd)
 
 
-def optimize_threshold(params: SystemParams, links: LinkStats, thr: Thresholds,
-                       capacity: float, levels: int) -> tuple:
-    """Exact pruned search of the threshold level minimizing total outage.
-
-    The candidates are e_t = k * capacity / levels, k = 1..levels; those
-    whose discretized levels coincide share one chain of one ChainFamily,
-    which computes the CDF tables and the two link CDFs once. Level j's
-    outage is p_out = fd - p_e (fd - c), with fd the direct-link failure
-    probability and c = _charged_outage in closed form. The mean drift of
-    the battery is zero in its stationary law, and no level charges more a
-    block than the empty battery (ChainFamily.mean_charge: g_f under full,
-    (1 - fd) g_h under half harvest), so p_e <= u = min(1, g_f / (fd j +
-    g_f - (1 - fd) g_h)) when that denominator is positive (else u = 1),
-    and LB = fd - u max(fd - c, 0) <= p_out without solving the chain.
-    Levels are solved one GTH stack at a time in (LB, j) order; after each
-    stack, the levels whose LB exceeds the best outage so far by more than
-    1e-12 fd, which covers the rounding of LB and p_out, are dropped
-    unsolved. The winner and its ties have LB <= best and are always
-    solved, so the result is the exhaustive search's, bit for bit.
-    Returns (best level, best outage); the smallest level wins ties.
-    Solved candidates that fail numerically are skipped with a warning; a
-    dropped candidate is never solved and cannot warn.
-    """
-    level, outage, _ = _search(ChainFamily(params, links, thr, capacity, levels),
-                               params, links, thr)
-    return level, outage
-
-
 def _candidate(capacity: float, levels: int, k: int) -> BatteryConfig:
     """Battery of threshold candidate k: e_t = k * capacity / levels, capped
     at capacity, which k = levels can round above (levels = 57 at 5 mJ)."""
@@ -247,8 +218,31 @@ _PRUNE_MARGIN = 1e-12
 
 def _search(family: ChainFamily, params: SystemParams, links: LinkStats,
             thr: Thresholds) -> tuple:
-    """optimize_threshold over the candidates of `family`'s battery, returning
-    (best candidate, its outage, its SteadyState)."""
+    """Exact pruned search of the threshold candidate minimizing total outage.
+
+    The candidates are e_t = k * capacity / levels, k = 1..levels, of
+    `family`'s battery; those whose discretized levels coincide share one
+    chain. Level j's outage is p_out = fd - p_e (fd - c), with fd the
+    direct-link failure probability and c = _charged_outage in closed
+    form. The mean drift of the battery is zero in its stationary law,
+    and no level charges more a block than the empty battery
+    (ChainFamily.mean_charge: g_f under full, (1 - fd) g_h under half
+    harvest), so p_e <= u = min(1, g_f / (fd j + g_f - (1 - fd) g_h))
+    when that denominator is positive (else u = 1), and
+    LB = fd - u max(fd - c, 0) <= p_out without solving the chain. Levels
+    are solved one GTH stack at a time in (LB, j) order; after each
+    stack, the levels whose LB exceeds the best outage so far by more
+    than _PRUNE_MARGIN fd, which covers the rounding of LB and p_out, are
+    dropped unsolved. The winner and its ties have LB <= best and are
+    always solved, so the result is the exhaustive search's, bit for bit.
+
+    Returns (best candidate, its outage, its SteadyState); the smallest
+    candidate wins ties. Solved candidates that fail numerically are
+    skipped with one warning each, attributed to the caller of
+    evaluate_point; a dropped candidate is never solved and cannot warn.
+    If every level fails, one NumericalError names the first failed
+    candidate and its cause, and nothing is warned.
+    """
     cfgs = [_candidate(family.capacity, family.levels, k)
             for k in range(1, family.levels + 1)]
     fd = family.fail_direct
@@ -279,13 +273,15 @@ def _search(family: ChainFamily, params: SystemParams, links: LinkStats,
         if outage:
             cut = min(outage.values()) + _PRUNE_MARGIN * fd
             queue = [j for j in queue if bound[j] <= cut]
-    for k, cfg in enumerate(cfgs, start=1):
-        if cfg.eps_t_level in failed:
-            # attributed to the caller of optimize_threshold or evaluate_point
-            warnings.warn(f"threshold level {k} skipped: {failed[cfg.eps_t_level]}",
-                          stacklevel=3)
+    skipped = [(k, failed[cfg.eps_t_level]) for k, cfg in enumerate(cfgs, start=1)
+               if cfg.eps_t_level in failed]
     if not outage:
-        raise NumericalError("every threshold candidate failed numerically")
+        k, exc = skipped[0]
+        raise NumericalError(f"every threshold candidate failed numerically, "
+                             f"the first at threshold level {k}: {exc}")
+    for k, exc in skipped:
+        # attributed to the caller of evaluate_point
+        warnings.warn(f"threshold level {k} skipped: {exc}", stacklevel=3)
     best = min(outage, key=lambda j: (outage[j], j))
     k = next(k for k, cfg in enumerate(cfgs, start=1) if cfg.eps_t_level == best)
     return k, outage[best], laws[best]
@@ -310,7 +306,7 @@ def evaluate_point(params: SystemParams, battery: BatteryConfig,
 
     Derives the link statistics and thresholds once and builds one
     ChainFamily, so the point makes one cdf_h_sr call. With optimize,
-    the search of optimize_threshold runs on that family over
+    the threshold search (_search) runs on that family over
     battery.capacity and battery.levels, and the point is evaluated at
     the chosen candidate's battery instead of `battery`, with the law the
     search solved. The chain, law and breakdown are bit for bit those of

@@ -13,31 +13,17 @@ are built.
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 
-__all__ = ["Tolerance", "DEFAULT_TOL", "marcum_q", "lower_incomplete_gamma",
-           "poisson_mean_inverse_shift"]
+__all__ = ["marcum_q", "lower_incomplete_gamma", "poisson_mean_inverse_shift"]
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Truncation control for the series evaluations in this module."""
-
-    abs_tol: float = 1e-12  # bound on the neglected series tail
-    max_terms: int = 10000  # iteration cap before declaring non-convergence
-
-    def __post_init__(self):
-        if not self.abs_tol > 0.0:
-            raise ValidationError(f"abs_tol must be > 0, got {self.abs_tol!r}")
-        if self.max_terms < 1:
-            raise ValidationError(f"max_terms must be >= 1, got {self.max_terms!r}")
-
-
-DEFAULT_TOL = Tolerance()
+# bound on the neglected tail of the Poisson-mixture series
+_ABS_TOL = 1e-12
+# iteration cap of every series before it is declared nonconvergent
+_MAX_TERMS = 10000
 
 
 # counts from which _log_poisson_pmf switches to the saddle-point form
@@ -125,7 +111,7 @@ def poisson_mean_inverse_shift(mu: float, shift: float) -> float:
     weight = p
     p_hi, n_hi = p, n0
     p_lo, n_lo = p, n0
-    for _ in range(DEFAULT_TOL.max_terms):
+    for _ in range(_MAX_TERMS):
         if 1.0 - weight < 1e-13:
             return total
         before = weight
@@ -151,7 +137,7 @@ def poisson_mean_inverse_shift(mu: float, shift: float) -> float:
 _X_TINY = 1e-300
 
 
-def marcum_q(order: int, a: float, b, tol: Tolerance = DEFAULT_TOL):
+def marcum_q(order: int, a: float, b):
     """Generalized Marcum Q-function Q_order(a, b), for one b or an array of b.
 
     Equals the upper tail at b^2 of a noncentral chi-square law with
@@ -163,10 +149,10 @@ def marcum_q(order: int, a: float, b, tol: Tolerance = DEFAULT_TOL):
     accumulated outward from the Poisson mode. Because every chi-square
     factor lies in [0, 1], the unaccounted Poisson mass bounds the
     neglected tail; iteration stops once that mass drops below
-    tol.abs_tol, or once a step no longer moves the rounded weight sum
-    (which can settle a few ulps short of 1). Working from the mode keeps the evaluation in range
-    for arguments far beyond the overflow point of the Bessel series
-    form.
+    _ABS_TOL = 1e-12, or once a step no longer moves the rounded weight
+    sum (which can settle a few ulps short of 1). Working from the mode
+    keeps the evaluation in range for arguments far beyond the overflow
+    point of the Bessel series form.
 
     The Poisson weights and so the stopping point depend on `a` alone,
     so one pass over the mixture index serves every b: the chi-square
@@ -179,7 +165,7 @@ def marcum_q(order: int, a: float, b, tol: Tolerance = DEFAULT_TOL):
     Raises ValidationError for order < 1 or negative/NaN arguments (naming
     the first offending entry of b) and NumericalError, naming order, a
     and the b values that needed the series, if the mass bound is not met
-    within tol.max_terms.
+    within _MAX_TERMS = 10000 terms.
     """
     try:
         order = operator.index(order)
@@ -205,22 +191,22 @@ def marcum_q(order: int, a: float, b, tol: Tolerance = DEFAULT_TOL):
     if x.size and lam == 0.0:
         q[series] = [_poisson_cdf(order - 1, xi) for xi in x.tolist()]
     elif x.size:
-        mixed = _poisson_mixture(order, lam, x, tol)
+        mixed = _poisson_mixture(order, lam, x)
         if mixed is None:
             shown = (float(bs) if bs.ndim == 0 else
                      np.array2string(bs[series], threshold=8, max_line_width=10**9))
             raise NumericalError(
                 f"marcum_q(order={order}, a={a}, b={shown}) did not reach the tail "
-                f"bound {tol.abs_tol} within {tol.max_terms} terms"
+                f"bound {_ABS_TOL} within {_MAX_TERMS} terms"
             )
         q[series] = mixed
     np.clip(q, 0.0, 1.0, out=q)
     return float(q) if q.ndim == 0 else q
 
 
-def _poisson_mixture(order: int, lam: float, x: np.ndarray, tol: Tolerance):
+def _poisson_mixture(order: int, lam: float, x: np.ndarray):
     """sum_n pois(n; lam) Pr{Poisson(x) <= order-1+n} for every entry of x > 0,
-    or None if the Poisson mass bound is not met within tol.max_terms."""
+    or None if the Poisson mass bound is not met within _MAX_TERMS terms."""
     n0 = int(lam)
     p0 = math.exp(_log_poisson_pmf(n0, lam))
     xs = x.tolist()
@@ -236,8 +222,8 @@ def _poisson_mixture(order: int, lam: float, x: np.ndarray, tol: Tolerance):
     t_lo = np.array([math.exp(_log_poisson_pmf(order - 1 + n0, xi)) for xi in xs])
     step = np.empty_like(x)
 
-    for _ in range(tol.max_terms):
-        if 1.0 - weight < tol.abs_tol:
+    for _ in range(_MAX_TERMS):
+        if 1.0 - weight < _ABS_TOL:
             return total
         before = weight
         n_hi += 1
@@ -256,18 +242,18 @@ def _poisson_mixture(order: int, lam: float, x: np.ndarray, tol: Tolerance):
             total += np.multiply(g_lo, p_lo, out=step)
             weight += p_lo
         if weight == before:
-            # the rounded weights can sum to just short of 1 - abs_tol;
+            # the rounded weights can sum to just short of 1 - _ABS_TOL;
             # every term still to come lies below half an ulp of their sum
             return total
     return None
 
 
-def lower_incomplete_gamma(alpha: float, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def lower_incomplete_gamma(alpha: float, x: float) -> float:
     """Lower incomplete gamma integral of exp(-t) t^(alpha-1) over [0, x].
 
     Uses the standard split: power series for x < alpha + 1, Lentz
     continued fraction for the complementary integral otherwise. Both
-    converge to near machine precision well before tol.max_terms for
+    converge to near machine precision well before _MAX_TERMS for
     any sane argument range; failure to do so raises NumericalError.
     """
     alpha = float(alpha)
@@ -278,16 +264,16 @@ def lower_incomplete_gamma(alpha: float, x: float, tol: Tolerance = DEFAULT_TOL)
         raise ValidationError(f"x must be >= 0, got {x!r}")
     if x == 0.0:
         return 0.0
-    return _regularized_lower_gamma(alpha, x, tol) * math.gamma(alpha)
+    return _regularized_lower_gamma(alpha, x) * math.gamma(alpha)
 
 
-def _regularized_lower_gamma(a: float, x: float, tol: Tolerance) -> float:
+def _regularized_lower_gamma(a: float, x: float) -> float:
     if x < a + 1.0:
         # series: P(a,x) = x^a e^-x / Gamma(a+1) * sum_n x^n / ((a+1)...(a+n))
         log_pref = a * math.log(x) - x - math.lgamma(a + 1.0)
         term = 1.0
         total = 1.0
-        for n in range(1, tol.max_terms + 1):
+        for n in range(1, _MAX_TERMS + 1):
             term *= x / (a + n)
             total += term
             if term < total * 1e-17:
@@ -300,7 +286,7 @@ def _regularized_lower_gamma(a: float, x: float, tol: Tolerance) -> float:
     c = 1.0 / tiny
     d = 1.0 / b if b != 0.0 else 1.0 / tiny
     h = d
-    for i in range(1, tol.max_terms + 1):
+    for i in range(1, _MAX_TERMS + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b

@@ -45,6 +45,14 @@ def solve_outage(params, battery):
     return er.outage_probability(params, links, thr, battery, pi)
 
 
+def search_threshold(params, levels, capacity=5e-3):
+    """The threshold search of evaluate_point(..., optimize=True) over a
+    battery of `levels` levels: (chosen level, its outage)."""
+    point = er.evaluate_point(params, reference_battery(levels, capacity=capacity),
+                              optimize=True)
+    return point.optimal_level, point.breakdown.p_out
+
+
 def reference_block(state, h_sd, h_sr, h_rd, params, thr, cfg, continuous=False):
     """One block of the protocol from battery `state`, with plain floats:
     (mode 1-4, outage, battery after the block).

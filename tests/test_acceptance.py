@@ -19,8 +19,8 @@ import pytest
 from scipy import integrate, special
 
 import ehrelay as er
-from helpers import (dbm, reference_battery, reference_params, solve_outage,
-                     window_occupancy)
+from helpers import (dbm, reference_battery, reference_params, search_threshold,
+                     solve_outage, window_occupancy)
 
 POWER_GRID_DBM = [10.0 + 2.0 * k for k in range(11)]  # 10..30 dBm
 SIM_WARMUP_BLOCKS = 10_000  # simulate's default warm-up
@@ -211,9 +211,7 @@ def test_criterion_07_threshold_sweep_trends():
     best = {}
     for p_dbm in (15.0, 20.0):
         params = reference_params(p_s_dbm=p_dbm, n_antennas=1)
-        links = er.link_stats(params)
-        thr = er.thresholds(params.rate)
-        best[p_dbm] = er.optimize_threshold(params, links, thr, 5e-3, levels)[0]
+        best[p_dbm] = search_threshold(params, levels)[0]
     interior = all(1 < best[p] < levels for p in best)
     shifted = best[20.0] >= best[15.0]
     report(7, "energy-threshold sweep trends", interior and shifted,
@@ -229,13 +227,13 @@ def test_criterion_08_optimal_threshold_vs_baseline():
             params = reference_params(p_s_dbm=p_dbm, n_antennas=n)
             links = er.link_stats(params)
             thr = er.thresholds(params.rate)
-            _, p_out = er.optimize_threshold(params, links, thr, 5e-3, levels)
+            _, p_out = search_threshold(params, levels)
             baseline = er.direct_baseline(params, links, thr)
             never_worse &= p_out <= baseline
         params = reference_params(p_s_dbm=25.0, n_antennas=n)
         links = er.link_stats(params)
         thr = er.thresholds(params.rate)
-        _, p_out = er.optimize_threshold(params, links, thr, 5e-3, levels)
+        _, p_out = search_threshold(params, levels)
         ratios[n] = er.direct_baseline(params, links, thr) / p_out
     growing = ratios[1] < ratios[2] < ratios[3]
     report(8, "optimized threshold vs direct baseline", never_worse and growing,

@@ -40,6 +40,16 @@ class TestThresholds:
         with pytest.raises(er.ValidationError):
             er.Thresholds(gamma1=1.0, gamma2=2.0)
 
+    @pytest.mark.parametrize("rate", [1e-300, 1e-16, 2.4e-16])
+    def test_rate_whose_thresholds_round_together_is_refused_by_name(self, rate):
+        # 2^rate - 1 rounds to 0 (or to 2^(2 rate) - 1); Thresholds would
+        # refuse that without naming the rate
+        with pytest.raises(er.ValidationError, match=f"rate = {rate!r} is too small"):
+            er.thresholds(rate)
+        with pytest.raises(er.ValidationError, match=f"rate = {rate!r} is too small"):
+            reference_params(rate=rate)
+        assert 0.0 < er.thresholds(1e-15).gamma1 < er.thresholds(1e-15).gamma2
+
 
 class TestDirectCdf:
     def test_origin(self):
@@ -182,12 +192,16 @@ class TestParamValidation:
         for rate in (512.0, 1000.0):
             with pytest.raises(er.ValidationError, match="rate must be in"):
                 reference_params(rate=rate)
+            with pytest.raises(er.ValidationError, match="rate must be in"):
+                er.thresholds(rate)
 
     @pytest.mark.parametrize("field, refused, accepted, alpha", [
         ("d_sd", 1e300, 1e102, 3.0), ("d_sr", 1e70, 1e61, 5.0), ("d_rd", 1e103, 1e102, 3.0)])
     def test_rejects_overflowing_path_loss_by_name(self, field, refused, accepted, alpha):
         with pytest.raises(er.ValidationError, match=f"{field} = .* outside the float range"):
             reference_params(alpha=alpha, **{field: refused})
+        with pytest.raises(er.ValidationError, match="distance = .* outside the float range"):
+            er.mean_gain(refused, alpha)
         params = reference_params(alpha=alpha, **{field: accepted})
         assert getattr(er.link_stats(params), "omega" + field[1:]) > 0.0
 

@@ -319,6 +319,7 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("text, code, named", [
         ("rate = 1000", 1, "rate"),                               # gamma2 = 2^2000 - 1
+        ("rate = 1e-300", 1, "rate = 1e-300 is too small"),       # gamma1 = 2^rate - 1 = 0
         ("d_sd = 1e300", 1, "d_sd"),                              # d_sd^3 overflows
         ("alpha = 5\nd_sr = 1e70", 1, "d_sr"),                    # d_sr^5 overflows
         ("rate = 300", 2, "mode-4 closed form"),                  # Poisson average m**5
@@ -332,6 +333,16 @@ class TestMainExitCodes:
         assert cli.main(["analyze", "--config", cfg]) == code
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    def test_search_with_every_level_failing_exits_2_on_one_line(self, tmp_path, capsys):
+        # at rate = 300 the mode-4 closed form fails at every threshold
+        # level: one error naming the first level, not a warning per level
+        cfg = write_cfg(tmp_path, "rate = 300\n")
+        assert cli.main(["optimize", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("numerical error: every threshold candidate failed "
+                              "numerically, the first at threshold level 1: mode-4 closed form")
 
     def test_usage_error_is_validation(self):
         assert cli.main(["no-such-verb"]) == 1

@@ -3,7 +3,8 @@ imports another module's private (underscore) names or reads a private
 attribute of anything but `self` or `cls`, the runtime imports nothing
 outside the standard library and numpy, and the CLI takes its analytic
 numbers from `outage.evaluate_point` alone. The test suite's one-block
-protocol reference shares no code with the simulator it checks."""
+protocol reference shares no code with the simulator it checks, and
+every package name the benchmark calls stays public."""
 
 import ast
 import pathlib
@@ -13,6 +14,7 @@ import pytest
 
 SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "ehrelay").glob("*.py"))
 HELPERS = pathlib.Path(__file__).parent / "helpers.py"
+PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 ALLOWED_THIRD_PARTY = {"numpy"}
 
 
@@ -61,7 +63,7 @@ def test_runtime_imports_only_stdlib_and_numpy(path):
 
 # the closed-form stages that evaluate_point chains together for the CLI
 POINT_STAGES = {"ChainFamily", "build_transition_matrix", "reachable_steady_state",
-                "outage_probability", "optimize_threshold"}
+                "outage_probability"}
 
 
 def test_cli_evaluates_points_only_through_evaluate_point():
@@ -102,3 +104,26 @@ def test_reference_block_shares_no_simulator_code():
             if isinstance(root, ast.Name) and root.id in package:
                 used.append(ast.unparse(node))
     assert not used, f"helpers.py reaches into the package: {used}"
+
+
+def test_benchmark_calls_only_public_names():
+    # the benchmark drives the package from outside, by attribute: a name
+    # dropped from __all__ would break its runs, not this suite
+    import ehrelay
+    from ehrelay import cli
+    public = {"package": ehrelay, "ehrelay": ehrelay,
+              "package.cli": cli, "ehrelay.cli": cli, "cli": cli}
+    called, missing = set(), []
+    for path in (PERFBENCH / "workloads.py", PERFBENCH / "run.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            owner = ast.unparse(node.func.value)
+            if owner in public:
+                called.add(f"{owner}.{node.func.attr}")
+                if node.func.attr not in public[owner].__all__:
+                    missing.append(f"{path.name} line {node.lineno}: {owner}.{node.func.attr}")
+    assert {"ehrelay.build_transition_matrix", "ehrelay.reachable_steady_state",
+            "ehrelay.outage_probability", "package.simulate",
+            "package.cli.run_sweep"} <= called
+    assert not missing, f"the benchmark calls names that are not public: {missing}"

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 import ehrelay as er
-from helpers import reference_battery, reference_params, solve_outage
+from helpers import reference_battery, reference_params, search_threshold, solve_outage
 
 # dblquad of the joint exponential x Erlang density over the corner
 # {u < gamma1, u + v < gamma2}, computed before the closed form was coded
@@ -164,9 +164,7 @@ class TestDirectBaseline:
 class TestOptimizeThreshold:
     def test_single_level(self):
         params = reference_params(p_s_dbm=25.0)
-        links = er.link_stats(params)
-        thr = er.thresholds(1.0)
-        level, outage = er.optimize_threshold(params, links, thr, 5e-3, 1)
+        level, outage = search_threshold(params, 1)
         assert level == 1
         assert 0.0 <= outage <= 1.0
 
@@ -176,7 +174,7 @@ class TestOptimizeThreshold:
         params = reference_params(p_s_dbm=20.0, d_rd=1e4)
         links = er.link_stats(params)
         thr = er.thresholds(1.0)
-        level, outage = er.optimize_threshold(params, links, thr, 5e-3, 10)
+        level, outage = search_threshold(params, 10)
         baseline = er.direct_baseline(params, links, thr)
         assert outage == pytest.approx(baseline, rel=1e-9)
         candidates = [solve_outage(params, reference_battery(10, k * 5e-4)).p_out
@@ -185,9 +183,7 @@ class TestOptimizeThreshold:
 
     def test_matches_manual_scan(self):
         params = reference_params(p_s_dbm=26.0, n_antennas=2)
-        links = er.link_stats(params)
-        thr = er.thresholds(1.0)
-        level, outage = er.optimize_threshold(params, links, thr, 5e-3, 20)
+        level, outage = search_threshold(params, 20)
         manual = [solve_outage(params, reference_battery(20, k * 2.5e-4)).p_out
                   for k in range(1, 21)]
         assert level == int(np.argmin(manual)) + 1
@@ -199,14 +195,11 @@ class TestOptimizeThreshold:
         # the search evaluates the two link CDFs once per chain family;
         # its best outage must be the public closed form's, not just close
         params = reference_params(p_s_dbm=24.0, n_antennas=n_antennas)
-        links = er.link_stats(params)
-        thr = er.thresholds(params.rate)
-        level, outage = er.optimize_threshold(params, links, thr, 5e-3, levels)
+        point = er.evaluate_point(params, reference_battery(levels), optimize=True)
+        level, outage = point.optimal_level, point.breakdown.p_out
         # the battery the CLI evaluates at the chosen level
         cfg = reference_battery(levels, level * 5e-3 / levels)
         assert outage == solve_outage(params, cfg).p_out
-        point = er.evaluate_point(params, reference_battery(levels), optimize=True)
-        assert (point.optimal_level, point.breakdown.p_out) == (level, outage)
         assert point.battery == cfg
         # the law the search solved in its stack, not a second solve
         assert np.array_equal(point.pi.pi, er.reachable_steady_state(point.tm).pi)
@@ -216,15 +209,14 @@ class TestOptimizeThreshold:
         # candidate is capped at capacity instead of refused
         params = reference_params(p_s_dbm=20.0)
         links, thr = er.link_stats(params), er.thresholds(params.rate)
-        level, outage = er.optimize_threshold(params, links, thr, 5e-3, 57)
+        level, outage = search_threshold(params, 57)
         assert 1 <= level <= 57
         assert 0.0 < outage < er.direct_baseline(params, links, thr)
 
     def test_skipped_candidate_warning_names_the_caller(self, monkeypatch):
         # a level that fails numerically is skipped, and the warning points
-        # at the line that called the search, through either entry point
+        # at the line that called the search
         params = reference_params(p_s_dbm=24.0)
-        links, thr = er.link_stats(params), er.thresholds(params.rate)
         solve = er.ChainFamily.steady_states
 
         def failing_level_one(family, k_thrs):
@@ -232,14 +224,28 @@ class TestOptimizeThreshold:
             laws[1] = er.NumericalError("synthetic zero pivot")
             return laws
         monkeypatch.setattr(er.ChainFamily, "steady_states", failing_level_one)
-        for search in (lambda: er.optimize_threshold(params, links, thr, 5e-3, 20),
-                       lambda: er.evaluate_point(params, reference_battery(), optimize=True)):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                search()
-            assert [str(w.message) for w in caught] == [
-                "threshold level 1 skipped: synthetic zero pivot"]
-            assert caught[0].filename == __file__
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            er.evaluate_point(params, reference_battery(), optimize=True)
+        assert [str(w.message) for w in caught] == [
+            "threshold level 1 skipped: synthetic zero pivot"]
+        assert caught[0].filename == __file__
+
+    def test_every_level_failing_raises_one_error_and_warns_nothing(self, monkeypatch):
+        params = reference_params(p_s_dbm=24.0)
+        solve = er.ChainFamily.steady_states
+
+        def failing(family, k_thrs):
+            return {k: er.NumericalError(f"synthetic failure at {k}")
+                    for k in solve(family, k_thrs)}
+        monkeypatch.setattr(er.ChainFamily, "steady_states", failing)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(er.NumericalError) as raised:
+                er.evaluate_point(params, reference_battery(), optimize=True)
+        assert str(raised.value) == ("every threshold candidate failed numerically, "
+                                     "the first at threshold level 1: synthetic failure at 1")
+        assert caught == []
 
     @pytest.mark.parametrize("levels, points", [
         (20, [(p, n) for p in (15.0, 18.0, 21.0, 24.0, 27.0, 30.0) for n in (1, 2, 3)]),
@@ -251,7 +257,6 @@ class TestOptimizeThreshold:
         # to small reachable sets (18 dBm, N=1: the frozen empty state)
         for p_dbm, n_antennas in points:
             params = reference_params(p_s_dbm=p_dbm, n_antennas=n_antennas)
-            links, thr = er.link_stats(params), er.thresholds(params.rate)
             outages, skipped = [], []
             for k in range(1, levels + 1):
                 cfg = reference_battery(levels, k * 5e-3 / levels)
@@ -262,7 +267,7 @@ class TestOptimizeThreshold:
                     skipped.append(f"threshold level {k} skipped: {exc}")
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                level, outage = er.optimize_threshold(params, links, thr, 5e-3, levels)
+                level, outage = search_threshold(params, levels)
             assert level == int(np.argmin(outages)) + 1
             assert outage == pytest.approx(min(outages), rel=1e-12, abs=0.0)
             assert [str(w.message) for w in caught] == skipped
@@ -273,11 +278,10 @@ class TestOptimizeThreshold:
         # 1.2 MiB for one chain at a time. A bigger stack would push the
         # process past the benchmark's resident-memory bound.
         params = reference_params(p_s_dbm=24.0, n_antennas=2)
-        links, thr = er.link_stats(params), er.thresholds(params.rate)
-        er.optimize_threshold(params, links, thr, 5e-3, 20)
+        search_threshold(params, 20)
         tracemalloc.start()
         try:
-            er.optimize_threshold(params, links, thr, 5e-3, 200)
+            search_threshold(params, 200)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -286,7 +290,7 @@ class TestOptimizeThreshold:
 
 def outage_bound(family, params, cfg):
     """The lower bound LB on the outage of cfg's threshold level that
-    optimize_threshold prunes with, from the public surface: the drift
+    the threshold search prunes with, from the public surface: the drift
     bound u on p_e and the closed-form outage c of a charged relay."""
     links, thr = er.link_stats(params), er.thresholds(params.rate)
     fd, frd = family.fail_direct, family.fail_relay_decode
@@ -299,7 +303,7 @@ def outage_bound(family, params, cfg):
 
 
 def plain_search(params, levels):
-    """optimize_threshold as one public pipeline per candidate: (level,
+    """The threshold search as one public pipeline per candidate: (level,
     outage, skip warnings), the first minimum winning."""
     outages, skipped = [], []
     for k in range(1, levels + 1):
@@ -365,7 +369,7 @@ class TestPrunedSearch:
         if min(outages) < math.inf:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                found = er.optimize_threshold(params, links, thr, 5e-3, levels)
+                found = search_threshold(params, levels)
             assert found == (int(np.argmin(outages)) + 1, min(outages))
 
     @pytest.mark.parametrize("offset", [0.0, 0.5])
@@ -373,24 +377,22 @@ class TestPrunedSearch:
     def test_matches_plain_candidate_loop_at_200_levels(self, p_dbm, n_antennas, offset):
         # the optimized L=200 sweep points of the benchmark, bit for bit
         params = reference_params(p_s_dbm=p_dbm + offset, n_antennas=n_antennas)
-        links, thr = er.link_stats(params), er.thresholds(params.rate)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            level, outage = er.optimize_threshold(params, links, thr, 5e-3, 200)
+            level, outage = search_threshold(params, 200)
         assert (level, outage, [str(w.message) for w in caught]) == plain_search(params, 200)
 
     def test_prunes_most_levels_at_low_power(self, monkeypatch):
         # N=1 at 18 dBm: 6 of the 186 distinct levels are solved, against
         # all 186 by an exhaustive search
         params = reference_params(p_s_dbm=18.0)
-        links, thr = er.link_stats(params), er.thresholds(params.rate)
         solve, solved = er.ChainFamily.steady_states, []
 
         def counting(family, k_thrs):
             solved.extend(k_thrs)
             return solve(family, k_thrs)
         monkeypatch.setattr(er.ChainFamily, "steady_states", counting)
-        level, _ = er.optimize_threshold(params, links, thr, 5e-3, 200)
+        level, _ = search_threshold(params, 200)
         assert len(solved) == len(set(solved)) <= 20
         cfg = reference_battery(200, level * 5e-3 / 200)
         assert cfg.eps_t_level in solved

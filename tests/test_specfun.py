@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from ehrelay import (DEFAULT_TOL, NumericalError, Tolerance, ValidationError,
-                     lower_incomplete_gamma, marcum_q)
+from ehrelay import NumericalError, ValidationError, lower_incomplete_gamma, marcum_q
+from ehrelay import specfun
 from ehrelay.specfun import poisson_mean_inverse_shift
 
 # oracle values computed by adaptive quadrature before the implementation
@@ -55,18 +55,19 @@ class TestMarcumQ:
         with pytest.raises(ValidationError):
             marcum_q(1, float("nan"), 1.0)
 
-    def test_nonconvergence_raises_instead_of_nan(self):
+    def test_nonconvergence_raises_instead_of_nan(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 3)
         with pytest.raises(NumericalError):
-            marcum_q(1, 9.0, 5.0, Tolerance(abs_tol=1e-12, max_terms=3))
+            marcum_q(1, 9.0, 5.0)
 
-    def test_tail_bound_below_weight_rounding_is_not_an_error(self):
-        # at abs_tol = 1e-15 the rounded Poisson weights often settle short
-        # of 1 - abs_tol; the series stops once its terms no longer move them
-        tight = Tolerance(abs_tol=1e-15)
+    def test_tail_bound_below_weight_rounding_is_not_an_error(self, monkeypatch):
+        # at a tail bound of 1e-15 the rounded Poisson weights often settle
+        # short of 1 - 1e-15; the series stops once its terms no longer move them
+        monkeypatch.setattr(specfun, "_ABS_TOL", 1e-15)
         for nk in np.geomspace(0.5, 1e5, 40):
             a = math.sqrt(2.0 * nk)
             expected = stats.ncx2.sf(a * a, 2, a * a)
-            assert marcum_q(1, a, a, tight) == pytest.approx(expected, abs=1e-11)
+            assert marcum_q(1, a, a) == pytest.approx(expected, abs=1e-11)
 
     def test_matches_scipy_noncentral_chi2_up_to_large_noncentrality(self):
         # N*K = a^2 / 2 up to 1e5, across both tails of the law; from
@@ -128,11 +129,12 @@ class TestMarcumQArrays:
         with pytest.raises(ValidationError, match=f"b must be >= 0, got {shown}"):
             marcum_q(1, 1.0, np.array([0.0, 1.0, bad, 3.0]))
 
-    def test_nonconvergence_names_order_a_and_b(self):
+    def test_nonconvergence_names_order_a_and_b(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 3)
         with pytest.raises(NumericalError, match=r"order=1, a=9\.0, b=\[5\. 6\.\]"):
-            marcum_q(1, 9.0, np.array([0.0, 5.0, 6.0]), Tolerance(abs_tol=1e-12, max_terms=3))
+            marcum_q(1, 9.0, np.array([0.0, 5.0, 6.0]))
         with pytest.raises(NumericalError, match=r"order=1, a=9\.0, b=5\.0\)"):
-            marcum_q(1, 9.0, 5.0, Tolerance(abs_tol=1e-12, max_terms=3))
+            marcum_q(1, 9.0, 5.0)
 
 
 class TestPoissonMeanInverseShift:
@@ -188,11 +190,6 @@ class TestLowerIncompleteGamma:
 
 class TestTolerance:
     def test_defaults(self):
-        assert DEFAULT_TOL.abs_tol == 1e-12
-        assert DEFAULT_TOL.max_terms == 10000
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            Tolerance(abs_tol=0.0)
-        with pytest.raises(ValidationError):
-            Tolerance(max_terms=0)
+        # the series tail bound and iteration cap are fixed module constants
+        assert specfun._ABS_TOL == 1e-12
+        assert specfun._MAX_TERMS == 10000
