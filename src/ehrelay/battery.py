@@ -130,7 +130,8 @@ class TransitionMatrix:
         object.__setattr__(self, "z", z)
         if z.ndim != 2 or z.shape[0] != z.shape[1]:
             raise ValidationError(f"transition matrix must be square, got shape {z.shape}")
-        if np.any(z < 0.0) or np.any(z > 1.0):
+        # a NaN entry fails here, so the row sums below are finite
+        if not np.all((z >= 0.0) & (z <= 1.0)):
             raise ValidationError("transition probabilities must lie in [0, 1]")
         worst = np.abs(z.sum(axis=1) - 1.0).max()
         if worst > 1e-12:
@@ -146,7 +147,7 @@ class SteadyState:
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
         object.__setattr__(self, "pi", pi)
-        if np.any(pi < 0.0):
+        if not np.all(pi >= 0.0):
             raise ValidationError("steady-state probabilities must be nonnegative")
         if abs(pi.sum() - 1.0) > 1e-10:
             raise ValidationError(f"steady state must sum to 1 within 1e-10, got {pi.sum()!r}")
@@ -276,7 +277,8 @@ class ChainFamily:
             # the diagonal k_thr below the main one
             np.fill_diagonal(z[k_thr:], self.fail_direct)
             worst = np.abs(z.sum(axis=1) - 1.0).max()
-            if worst > 1e-9:
+            # a NaN row fails here too
+            if not worst <= 1e-9:
                 failed.append(NumericalError(
                     f"transition rows do not partition probability space, worst row-sum "
                     f"deviation {worst:.3e}"))
@@ -389,7 +391,7 @@ def _stationary_laws(stack: np.ndarray, failed: list) -> list:
         if len(group) < slot:
             # move it up over the slots of chains that left the stack
             stack[len(group)] = z
-        group.append((slot, None, None))
+        group.append((slot, idx, None))
     for size, group in groups.items():
         slots, idxs, subs = zip(*group)
         pis, pivots = _gth_stationary(stack[:len(group)] if size == n else np.stack(subs))
@@ -398,17 +400,15 @@ def _stationary_laws(stack: np.ndarray, failed: list) -> list:
     return laws
 
 
-def _law(pi: np.ndarray, pivots: np.ndarray, n: int, idx=None):
-    """SteadyState over n states of one solved chain on the states idx (all n
-    when None), or the NumericalError of its first zero pivot."""
+def _law(pi: np.ndarray, pivots: np.ndarray, n: int, idx: np.ndarray):
+    """SteadyState over n states of one solved chain on the states idx, or
+    the NumericalError of its first zero pivot."""
     # a NaN pivot sum, downstream of a zero pivot, fails too
     if not pivots.min() > 0.0:
         # the first zero pivot in elimination order, from the top
         state = int(np.flatnonzero(~(pivots > 0.0))[-1])
         return NumericalError(f"GTH elimination hit a zero pivot at state {state}; the "
                               "restricted chain is not irreducible")
-    if idx is None:
-        return SteadyState(pi)
     law = np.zeros(n)
     law[idx] = pi
     return SteadyState(law)
@@ -417,12 +417,13 @@ def _law(pi: np.ndarray, pivots: np.ndarray, n: int, idx=None):
 def _gth_stationary(p: np.ndarray) -> tuple:
     """GTH (state-elimination) stationary solve of a stack of stochastic matrices.
 
-    p is an (m, n, n) stack, or one (n, n) matrix as the stack of one;
-    it is eliminated in place. Returns the laws and the pivot sums, both
-    (m, n), or (n,) for one matrix. Pivot k is the mass state k's row
-    sends to the states below it once the states above are eliminated,
-    state 0's is 1, and a chain is solved only if all of its pivot sums
-    are positive.
+    p is an (m, n, n) stack, one matrix being the stack of one (m = 1),
+    and it is eliminated in place. Returns the laws and the pivot sums,
+    both (m, n). Pivot k is the mass state k's row sends to the states
+    below it once the states above are eliminated, state 0's is 1, and a
+    chain is solved only if all of its pivot sums are positive. A
+    one-state stack (n = 1) runs no elimination block: its laws and
+    pivots are 1.
 
     States are eliminated from the top, _GTH_BLOCK at a time, in every
     chain of the stack at once, so the Python-level steps of a solve
@@ -448,10 +449,7 @@ def _gth_stationary(p: np.ndarray) -> tuple:
     in its own slice only, so it fails alone, and the floating-point
     warnings that raises are silenced.
     """
-    n = p.shape[-1]
     piv = np.ones(p.shape[:-1])
-    if n == 1:
-        return np.ones(piv.shape), piv
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         _gth_eliminate(p, piv)
         return _gth_visits(p), piv
@@ -459,11 +457,10 @@ def _gth_stationary(p: np.ndarray) -> tuple:
 
 def _gth_eliminate(p: np.ndarray, piv: np.ndarray) -> None:
     """Eliminate states n-1..1 of every chain of p, writing pivot sums to piv[..., k]."""
-    lead, n = p.shape[:-2], p.shape[-1]
-    m = piv.size // n
+    m, n = p.shape[:2]
     # lower bandwidth of each chain: the largest s - j with p[s, j] > 0 and j < s
     bands = [max(0, band) for band in
-             (np.arange(n) - (p > 0.0).argmax(axis=-1)).max(axis=-1).reshape(-1).tolist()]
+             (np.arange(n) - (p > 0.0).argmax(axis=-1)).max(axis=-1).tolist()]
     bw = max(bands)
     # chains narrower than the stack, narrowest first: their pivot sums run
     # over their own band, as they would in a solve of their own, from the
@@ -488,7 +485,7 @@ def _gth_eliminate(p: np.ndarray, piv: np.ndarray) -> None:
         # rows [b, 2b) are the block's rows; rows [0, b) start as the
         # identity and end as the map that takes the block's columns, in
         # the rows above it, to their eliminated values
-        w = w_buf[:m * 2 * b * wd].reshape(lead + (2 * b, wd))
+        w = w_buf[:m * 2 * b * wd].reshape(m, 2 * b, wd)
         w[..., :b, :] = ident[_GTH_BLOCK - b:, -wd:]
         w[..., b:, :] = p[..., lo:hi, c0:hi]
         for k in range(hi - 1, lo - 1, -1):
@@ -512,7 +509,7 @@ def _gth_eliminate(p: np.ndarray, piv: np.ndarray) -> None:
         while r0 < lo:
             r1 = lo if lo - r0 <= slab + 1 else r0 + slab
             y = np.matmul(p[..., r0:r1, lo:hi], w[..., :b, :],
-                          out=y_buf[:m * (r1 - r0) * wd].reshape(lead + (r1 - r0, wd)))
+                          out=y_buf[:m * (r1 - r0) * wd].reshape(m, r1 - r0, wd))
             p[..., r0:r1, c0:lo] += y[..., :lo - c0]
             p[..., r0:r1, lo:hi] = y[..., lo - c0:]
             r0 = r1
@@ -524,8 +521,6 @@ def _gth_visits(p: np.ndarray) -> np.ndarray:
     n = p.shape[-1]
     pi = np.zeros(p.shape[:-1])
     pi[..., 0] = 1.0
-    # every chain as a row, for the rare rescale
-    rows = pi.reshape(-1, n)
     k = 1
     while k < n:
         for j in range(k, n):
@@ -535,12 +530,12 @@ def _gth_visits(p: np.ndarray) -> np.ndarray:
         # count past 1e250, which preserves the ratios, and the counts
         # after that one are computed again; rescales are rare, so one
         # check a pass costs less than one a count
-        over = rows[:, k:] > 1e250
+        over = pi[:, k:] > 1e250
         if not over.any():
             break
         j = k + int(over.any(axis=0).argmax())
         big = over[:, j - k]
-        rows[big, :j + 1] /= rows[big, j, None]
+        pi[big, :j + 1] /= pi[big, j, None]
         k = j + 1
     pi /= pi.sum(axis=-1, keepdims=True)
     return pi

@@ -9,7 +9,7 @@ back to the defaults below.
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -110,8 +110,7 @@ class SweepRow:
     optimal_level: int | None
 
 
-_ROW_FIELDS = ("sweep_value", "analytic_outage", "mc_outage", "mc_stderr",
-               "baseline_outage", "p_e", "optimal_level")
+_ROW_FIELDS = tuple(f.name for f in fields(SweepRow))
 
 
 def _parse_flat_file(text: str) -> dict:
@@ -312,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--continuous-battery", action="store_true",
                    help="store raw joules instead of discrete levels")
 
-    p = sub.add_parser("optimize", help="exhaustive threshold search at a single configuration")
+    p = sub.add_parser("optimize", help="exact threshold search at a single configuration")
     p.add_argument("--config", help="flat key-value config file")
 
     p = sub.add_parser("dump-chain", help="dump the transition matrix and steady state as CSV")

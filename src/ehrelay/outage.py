@@ -236,8 +236,8 @@ def _search(family: ChainFamily, params: SystemParams, links: LinkStats,
     dropped unsolved. The winner and its ties have LB <= best and are
     always solved, so the result is the exhaustive search's, bit for bit.
 
-    Returns (best candidate, its outage, its SteadyState); the smallest
-    candidate wins ties. Solved candidates that fail numerically are
+    Returns (best candidate k, its BatteryConfig, its SteadyState); the
+    smallest candidate wins ties. Solved candidates that fail numerically are
     skipped with one warning each, attributed to the caller of
     evaluate_point; a dropped candidate is never solved and cannot warn.
     If every level fails, one NumericalError names the first failed
@@ -284,7 +284,7 @@ def _search(family: ChainFamily, params: SystemParams, links: LinkStats,
         warnings.warn(f"threshold level {k} skipped: {exc}", stacklevel=3)
     best = min(outage, key=lambda j: (outage[j], j))
     k = next(k for k, cfg in enumerate(cfgs, start=1) if cfg.eps_t_level == best)
-    return k, outage[best], laws[best]
+    return k, cfgs[k - 1], laws[best]
 
 
 @dataclass(frozen=True)
@@ -318,8 +318,7 @@ def evaluate_point(params: SystemParams, battery: BatteryConfig,
     family = ChainFamily(params, links, thr, battery.capacity, battery.levels)
     optimal_level = pi = None
     if optimize:
-        optimal_level, _, pi = _search(family, params, links, thr)
-        battery = _candidate(battery.capacity, battery.levels, optimal_level)
+        optimal_level, battery, pi = _search(family, params, links, thr)
     tm = family.matrix(battery.eps_t_level)
     if pi is None:
         pi = reachable_steady_state(tm)

@@ -32,7 +32,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _log_poisson_pmf(n: int, mu: float) -> float:
-    """log of exp(-mu) mu^n / n!  for mu > 0.
+    """log of exp(-mu) mu^n / n!  for mu > 0, and -mu at n = 0 for any mu >= 0.
+
+    -mu is the direct form's exact value at n = 0, where 0 log mu and
+    lgamma(1) are zeros, and it gives pmf 1 at mu = 0.
 
     The direct form cancels terms of size n log n and so carries an
     absolute error of about eps * n log n: under 1e-12 below
@@ -42,6 +45,8 @@ def _log_poisson_pmf(n: int, mu: float) -> float:
     probabilities", 2000) is used instead; its pieces are all of the
     size of the result.
     """
+    if n == 0:
+        return -mu
     if n < _SADDLE_POINT_N:
         return -mu + n * math.log(mu) - math.lgamma(n + 1.0)
     # Stirling-series remainder lgamma(n+1) - (n+1/2) log n + n - log(2 pi)/2;
@@ -70,16 +75,13 @@ def _deviance(n: int, mu: float) -> float:
 
 
 def _poisson_cdf(k: int, mu: float) -> float:
-    """Pr{Poisson(mu) <= k}, accurate in absolute terms for any mu >= 0.
+    """Pr{Poisson(mu) <= k} for k >= 0 and mu > 0, accurate in absolute terms.
 
-    Summation starts at min(k, floor(mu)) so the largest term is visited
-    first; far-tail terms below the 1e-20 cutoff contribute nothing at
-    the accuracy this module targets.
+    Its callers pass k = order - 1 + n >= 0 and mu >= _X_TINY, so it has
+    no guard for k < 0 or mu = 0. Summation starts at min(k, floor(mu))
+    so the largest term is visited first; far-tail terms below the 1e-20
+    cutoff contribute nothing at the accuracy this module targets.
     """
-    if k < 0:
-        return 0.0
-    if mu <= 0.0:
-        return 1.0
     start = min(k, int(mu))
     head = math.exp(_log_poisson_pmf(start, mu))
     total = head
@@ -97,9 +99,7 @@ def _poisson_cdf(k: int, mu: float) -> float:
 
 
 def poisson_mean_inverse_shift(mu: float, shift: float) -> float:
-    """E[1 / (shift + Poisson(mu))] for mu >= 0, shift >= 1."""
-    if mu == 0.0:
-        return 1.0 / shift
+    """E[1 / (shift + Poisson(mu))] for mu >= 0 (1 / shift at mu = 0), shift >= 1."""
     if mu > 1e3:
         # concentration expansion in the central moments; the omitted term
         # is O(mu^-3) relative, far below every tolerance in play here
@@ -188,9 +188,8 @@ def marcum_q(order: int, a: float, b):
     series = (x >= _X_TINY) & (x < math.inf)
     x = x[series]
     lam = 0.5 * a * a  # Poisson mean of the mixture
-    if x.size and lam == 0.0:
-        q[series] = [_poisson_cdf(order - 1, xi) for xi in x.tolist()]
-    elif x.size:
+    if x.size:
+        # at lam = 0 the mixture is its first term, Pr{Poisson(x) <= order-1}
         mixed = _poisson_mixture(order, lam, x)
         if mixed is None:
             shown = (float(bs) if bs.ndim == 0 else

@@ -189,6 +189,34 @@ class TestBatteryConfig:
             er.BatteryConfig(5e-3, 1_000_001, 1e-3)
 
 
+def reference_family(capacity=5e-3, levels=20):
+    params = reference_params()
+    return er.ChainFamily(params, er.link_stats(params), er.thresholds(params.rate),
+                          capacity, levels)
+
+
+@pytest.mark.parametrize("build, match", [
+    pytest.param(lambda: er.BatteryConfig(0.0, 20, 1e-3), "capacity must be > 0, got 0.0",
+                 id="BatteryConfig-capacity"),
+    pytest.param(lambda: er.BatteryConfig(5e-3, 20.0, 1e-3), "levels must be an integer >= 1",
+                 id="BatteryConfig-levels"),
+    pytest.param(lambda: er.TransitionMatrix(np.full((2, 3), 1.0 / 3.0)),
+                 r"transition matrix must be square, got shape \(2, 3\)",
+                 id="TransitionMatrix-square"),
+    pytest.param(lambda: er.SteadyState(np.array([1.5, -0.5])),
+                 "steady-state probabilities must be nonnegative", id="SteadyState-negative"),
+    pytest.param(lambda: er.SteadyState(np.array([0.5, 0.4])),
+                 "steady state must sum to 1 within 1e-10", id="SteadyState-sum"),
+    pytest.param(lambda: reference_family(levels=20.0), "levels must be an integer >= 1",
+                 id="ChainFamily-levels"),
+    pytest.param(lambda: reference_family(capacity=0.0), "capacity must be finite and > 0",
+                 id="ChainFamily-capacity"),
+])
+def test_refusal_names_the_field(build, match):
+    with pytest.raises(er.ValidationError, match=match):
+        build()
+
+
 class TestDiscretizeHarvest:
     def test_zero(self):
         assert er.discretize_harvest(0.0, reference_battery()) == 0
@@ -375,6 +403,12 @@ class TestTransitionMatrix:
         with pytest.raises(er.ValidationError):
             er.TransitionMatrix(np.array([[1.2, -0.2], [0.5, 0.5]]))
 
+    def test_nan_matrix_refused(self):
+        # NaN fails every comparison, so a check written as "refuse where
+        # z < 0" would let it through to a solve that returns [1, 0]
+        with pytest.raises(er.ValidationError, match=r"lie in \[0, 1\]"):
+            er.reachable_steady_state(er.TransitionMatrix(np.full((2, 2), np.nan)))
+
 
 class TestSteadyState:
     def test_symmetric_two_state(self):
@@ -404,6 +438,10 @@ class TestSteadyState:
         z[2, 2] = z[2, 1] = 0.5
         with pytest.raises(er.NumericalError, match="reducible"):
             er.steady_state(er.TransitionMatrix(z))
+
+    def test_nan_law_refused(self):
+        with pytest.raises(er.ValidationError, match="nonnegative"):
+            er.SteadyState(np.array([np.nan, np.nan]))
 
     def test_frozen_config_rejected_by_solve(self):
         # at low source power the discretization rounds every harvest to
@@ -531,11 +569,8 @@ class TestGthSolve:
         with mock.patch.object(er.battery, "_GTH_STACK_BYTES",
                                stack_bytes or er.battery._GTH_STACK_BYTES):
             pis, pivots = solve(stack.copy())
-            alone = [solve(z.copy()) for z in stack]
-            one, one_pivots = solve(stack[:1].copy())
-        # the stack of one is the 2-D call, bit for bit (NaN for a broken chain)
-        assert np.array_equal(one[0], alone[0][0], equal_nan=True)
-        assert np.array_equal(one_pivots[0], alone[0][1], equal_nan=True)
+            # each chain as the stack of one: (law, pivots)
+            alone = [tuple(out[0] for out in solve(z.copy()[None])) for z in stack]
         for i, z in enumerate(stack):
             # the highest state whose pivot sum is not positive, 0 for none
             failed = np.flatnonzero(~(pivots[i] > 0.0))
@@ -567,7 +602,7 @@ class TestGthSolve:
         pis, pivots = er.battery._gth_stationary(stack.copy())
         assert np.all(pivots > 0.0)
         for pi, z in zip(pis, stack):
-            assert np.array_equal(pi, er.battery._gth_stationary(z.copy())[0])
+            assert np.array_equal(pi, er.battery._gth_stationary(z.copy()[None])[0][0])
             assert_relative(pi, textbook_gth(z), 1e-12)
         assert pis[0][-1] > 0.99 and pis[0][0] == 0.0
 
@@ -610,6 +645,15 @@ class TestSteadyStates:
         assert all(isinstance(law, er.NumericalError) for law in laws.values())
         failed = family.fill([3, 20], np.empty((2, 21, 21)))
         assert [str(f) for f in failed] == [str(laws[3]), str(laws[20])]
+
+    def test_nan_row_fails_the_row_sum_check(self):
+        params = reference_params(p_s_dbm=25.0)
+        links, thr = er.link_stats(params), er.thresholds(params.rate)
+        family = er.ChainFamily(params, links, thr, 5e-3, 20)
+        family.fail_direct = math.nan
+        with pytest.raises(er.NumericalError, match="row-sum deviation nan"):
+            family.matrix(3)
+        assert str(family.steady_states([3])[3]).endswith("row-sum deviation nan")
 
     def test_bad_level_refused(self):
         params = reference_params()

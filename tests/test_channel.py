@@ -215,3 +215,26 @@ class TestParamValidation:
     def test_rejects_nonfinite_by_name(self, field, value):
         with pytest.raises(er.ValidationError, match=field):
             reference_params(**{field: value})
+
+    @pytest.mark.parametrize("build, match", [
+        pytest.param(lambda: reference_params(p_s=0.0), "p_s must be > 0", id="SystemParams-p_s"),
+        pytest.param(lambda: reference_params(n0=-1e-9), "n0 must be > 0", id="SystemParams-n0"),
+        pytest.param(lambda: reference_params(n_antennas=0), "n_antennas must be an integer >= 1",
+                     id="SystemParams-n_antennas"),
+        pytest.param(lambda: reference_params(rician_k=-1.0), "rician_k must be >= 0",
+                     id="SystemParams-rician_k"),
+        pytest.param(lambda: er.LinkStats(1.0, 0.0, 1.0), "omega_sr must be > 0",
+                     id="LinkStats-omega"),
+        pytest.param(lambda: er.Thresholds(1.0, 2.0), r"gamma2 must equal gamma1\^2 \+ 2\*gamma1",
+                     id="Thresholds-relation"),
+        pytest.param(lambda: er.Thresholds(3.0, 1.0), "need 0 < gamma1 < gamma2",
+                     id="Thresholds-order"),
+        pytest.param(lambda: er.cdf_h_sd(-1.0, 1.0), r"x must be >= 0, got -1\.0", id="cdf_h_sd-x"),
+        pytest.param(lambda: er.sample_fade_blocks(reference_params(),
+                                                   er.link_stats(reference_params()),
+                                                   np.random.default_rng(0), 0),
+                     "n must be >= 1, got 0", id="sample_fade_blocks-n"),
+    ])
+    def test_refusal_names_the_field(self, build, match):
+        with pytest.raises(er.ValidationError, match=match):
+            build()

@@ -28,6 +28,35 @@ def write_cfg(tmp_path, text, name="test.cfg"):
     return str(path)
 
 
+def load_text(tmp_path, text):
+    return cli.load_config(write_cfg(tmp_path, text))
+
+
+@pytest.mark.parametrize("build, match", [
+    pytest.param(lambda tmp: replace(load_text(tmp, ""), sweep_kind="power"),
+                 "sweep_kind must be one of", id="SweepSpec-kind"),
+    pytest.param(lambda tmp: replace(load_text(tmp, ""), grid=()),
+                 "sweep grid must be nonempty", id="SweepSpec-grid"),
+    pytest.param(lambda tmp: replace(load_text(tmp, ""), seed=-1),
+                 "seed must be >= 0, got -1", id="SweepSpec-seed"),
+    pytest.param(lambda tmp: replace(load_text(tmp, ""), warmup_blocks=-1),
+                 "warmup_blocks must be >= 0, got -1", id="SweepSpec-warmup"),
+    pytest.param(lambda tmp: load_text(tmp, "# levels\nlevels 20\n"),
+                 "line 2: expected 'key = value', got 'levels 20'", id="config-separator"),
+    pytest.param(lambda tmp: load_text(tmp, "levels = 20\nlevels: 30\n"),
+                 r"duplicate config key 'levels' \(line 2\)", id="config-duplicate"),
+    pytest.param(lambda tmp: load_text(tmp, "include_mc = maybe\n"),
+                 r"could not parse value for 'include_mc': 'maybe' \(line 1\)",
+                 id="config-bool"),
+    pytest.param(lambda tmp: cli.run_sweep(load_text(tmp, "e_t_grid = 1e-3, 6e-3\n")),
+                 r"^sweep point 0\.006: e_t=0\.006 exceeds capacity=0\.005",
+                 id="run_sweep-point"),
+])
+def test_refusal_names_the_key(tmp_path, build, match):
+    with pytest.raises(er.ValidationError, match=match):
+        build(tmp_path)
+
+
 class TestLoadConfig:
     def test_empty_file_gives_reference_defaults(self, tmp_path):
         spec = cli.load_config(write_cfg(tmp_path, ""))

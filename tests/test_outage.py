@@ -29,6 +29,16 @@ def mode4_quadrature(g1, g2, gsd, grd, n):
 
 
 class TestMode4JointCdf:
+    @pytest.mark.parametrize("build, match", [
+        pytest.param(lambda: er.MeanSnrs(0.0, 1.0), "gbar_sd must be > 0", id="MeanSnrs-gbar_sd"),
+        pytest.param(lambda: er.MeanSnrs(1.0, -1.0), "gbar_rd must be > 0", id="MeanSnrs-gbar_rd"),
+        pytest.param(lambda: er.mode4_joint_cdf(er.thresholds(1.0), er.MeanSnrs(2.0, 5.0), 0),
+                     "n_antennas must be >= 1, got 0", id="mode4_joint_cdf-n_antennas"),
+    ])
+    def test_refusal_names_the_field(self, build, match):
+        with pytest.raises(er.ValidationError, match=match):
+            build()
+
     def test_frozen_quadrature_value(self):
         thr = er.Thresholds(gamma1=1.0, gamma2=3.0)
         snrs = er.MeanSnrs(gbar_sd=2.0, gbar_rd=5.0)
@@ -247,30 +257,19 @@ class TestOptimizeThreshold:
                                      "the first at threshold level 1: synthetic failure at 1")
         assert caught == []
 
-    @pytest.mark.parametrize("levels, points", [
-        (20, [(p, n) for p in (15.0, 18.0, 21.0, 24.0, 27.0, 30.0) for n in (1, 2, 3)]),
-        (200, [(18.0, 1), (30.0, 3)]),
-    ])
-    def test_matches_plain_candidate_loop(self, levels, points):
+    def test_matches_plain_candidate_loop(self):
         # the stacked search against one chain per candidate, each through
-        # the public pipeline; at L=20 the low powers cut the chains down
-        # to small reachable sets (18 dBm, N=1: the frozen empty state)
-        for p_dbm, n_antennas in points:
-            params = reference_params(p_s_dbm=p_dbm, n_antennas=n_antennas)
-            outages, skipped = [], []
-            for k in range(1, levels + 1):
-                cfg = reference_battery(levels, k * 5e-3 / levels)
-                try:
-                    outages.append(solve_outage(params, cfg).p_out)
-                except er.NumericalError as exc:
-                    outages.append(math.inf)
-                    skipped.append(f"threshold level {k} skipped: {exc}")
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                level, outage = search_threshold(params, levels)
-            assert level == int(np.argmin(outages)) + 1
-            assert outage == pytest.approx(min(outages), rel=1e-12, abs=0.0)
-            assert [str(w.message) for w in caught] == skipped
+        # the public pipeline, bit for bit; at L=20 the low powers cut the
+        # chains down to small reachable sets (18 dBm, N=1: the frozen
+        # empty state). TestPrunedSearch covers L=200.
+        for p_dbm in (15.0, 18.0, 21.0, 24.0, 27.0, 30.0):
+            for n_antennas in (1, 2, 3):
+                params = reference_params(p_s_dbm=p_dbm, n_antennas=n_antennas)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    level, outage = search_threshold(params, 20)
+                assert ((level, outage, [str(w.message) for w in caught])
+                        == plain_search(params, 20))
 
     def test_peak_traced_memory_at_200_levels(self):
         # the stacked solves hold _GTH_STACK_BYTES (2 MiB) of chains and a

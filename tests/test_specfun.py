@@ -55,6 +55,14 @@ class TestMarcumQ:
         with pytest.raises(ValidationError):
             marcum_q(1, float("nan"), 1.0)
 
+    @pytest.mark.parametrize("args, match", [
+        pytest.param((1.5, 1.0, 1.0), "order must be an integer, got 1.5", id="order-float"),
+        pytest.param(("2", 1.0, 1.0), "order must be an integer, got '2'", id="order-str"),
+    ])
+    def test_refusal_names_the_argument(self, args, match):
+        with pytest.raises(ValidationError, match=match):
+            marcum_q(*args)
+
     def test_nonconvergence_raises_instead_of_nan(self, monkeypatch):
         monkeypatch.setattr(specfun, "_MAX_TERMS", 3)
         with pytest.raises(NumericalError):
@@ -138,6 +146,10 @@ class TestMarcumQArrays:
 
 
 class TestPoissonMeanInverseShift:
+    def test_zero_mean_is_the_inverse_shift(self):
+        for shift in (1.0, 2.0, 3.0, 7.5):
+            assert poisson_mean_inverse_shift(0.0, shift) == 1.0 / shift
+
     def test_matches_direct_sum(self):
         for mu in np.linspace(10.0, 1000.0, 34):
             n = np.arange(int(mu + 60.0 * math.sqrt(mu)) + 60)
