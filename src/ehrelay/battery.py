@@ -157,8 +157,8 @@ def discretize_harvest(e_h, cfg: BatteryConfig):
     """Largest level index whose energy lies strictly below e_h, at one e_h or an array.
 
     Energy exactly on a level boundary rounds DOWN one level; zero
-    harvest maps to level 0. Result is clipped to the level range. A
-    scalar e_h returns an int, an array returns int64 of its shape.
+    harvest maps to level 0. Result is clipped to the level range and
+    is int64 of e_h's shape (0-d for a scalar).
     """
     e = np.asarray(e_h, dtype=float)
     bad = ~(e >= 0.0)
@@ -169,8 +169,7 @@ def discretize_harvest(e_h, cfg: BatteryConfig):
     np.ceil(level, out=level)
     level -= 1.0
     np.clip(level, 0, cfg.levels, out=level)
-    level = level.astype(np.int64)
-    return int(level) if level.ndim == 0 else level
+    return level.astype(np.int64)
 
 
 class ChainFamily:
@@ -266,8 +265,9 @@ class ChainFamily:
         """
         ell = self.levels
         for k_thr in k_thrs:
-            if not 1 <= k_thr <= ell:
-                raise ValidationError(f"threshold level must be in 1..{ell}, got {k_thr!r}")
+            if not (isinstance(k_thr, (int, np.integer)) and 1 <= k_thr <= ell):
+                raise ValidationError(f"threshold level must be in 1..{ell} (an integer), "
+                                      f"got {k_thr!r}")
         failed = []
         for k_thr, z in zip(k_thrs, out):
             z[:k_thr] = self._charge_full[:k_thr]

@@ -189,8 +189,7 @@ def cdf_h_sr(x, params: SystemParams, omega_sr: float):
     k = params.rician_k
     a = math.sqrt(2.0 * n * k)
     b = np.sqrt(2.0 * (k + 1.0) * xs / omega_sr)
-    f = np.clip(1.0 - marcum_q(n, a, b), 0.0, 1.0)
-    return float(f) if f.ndim == 0 else f
+    return 1.0 - marcum_q(n, a, b)
 
 
 def sample_fade_blocks(params: SystemParams, links: LinkStats,

@@ -43,11 +43,9 @@ DEFAULTS = {
     "warmup_blocks": 10_000,
 }
 
-_INT_KEYS = {"n_antennas", "levels", "mc_blocks", "seed", "warmup_blocks"}
-_BOOL_KEYS = {"include_baseline", "include_mc"}
+# a key takes the type of its default; grid keys have none and take
+# comma-separated floats
 _GRID_KEYS = {"p_s_dbm_grid", "e_t_grid"}
-_FLOAT_KEYS = {"p_s_dbm", "n0_dbm", "eta", "rate", "rician_k", "d_sd", "d_sr",
-               "d_rd", "alpha", "capacity", "e_t"}
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -127,15 +125,15 @@ def _parse_flat_file(text: str) -> dict:
             raise ValidationError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key = key.strip()
         val = val.strip()
-        known = _INT_KEYS | _BOOL_KEYS | _GRID_KEYS | _FLOAT_KEYS
-        if key not in known:
+        if key not in DEFAULTS and key not in _GRID_KEYS:
             raise ValidationError(f"unknown config key {key!r} (line {lineno})")
         if key in values:
             raise ValidationError(f"duplicate config key {key!r} (line {lineno})")
+        kind = float if key in _GRID_KEYS else type(DEFAULTS[key])
         try:
-            if key in _INT_KEYS:
+            if kind is int:
                 values[key] = int(val)
-            elif key in _BOOL_KEYS:
+            elif kind is bool:
                 lowered = val.lower()
                 if lowered in ("true", "yes", "1"):
                     values[key] = True
@@ -151,7 +149,7 @@ def _parse_flat_file(text: str) -> dict:
             raise ValidationError(
                 f"could not parse value for {key!r}: {val!r} (line {lineno})"
             ) from None
-        if key in _GRID_KEYS | _FLOAT_KEYS:
+        if kind is float:
             parsed = values[key] if key in _GRID_KEYS else (values[key],)
             if not all(map(math.isfinite, parsed)):
                 raise ValidationError(f"{key!r} must be finite, got {val!r} (line {lineno})")

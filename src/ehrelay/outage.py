@@ -140,8 +140,8 @@ def mode4_joint_cdf(thr: Thresholds, snrs: MeanSnrs, n_antennas: int) -> float:
     A sum that overflows, divides by an underflowed zero or is not
     finite raises NumericalError.
     """
-    if n_antennas < 1:
-        raise ValidationError(f"n_antennas must be >= 1, got {n_antennas!r}")
+    if not (isinstance(n_antennas, (int, np.integer)) and n_antennas >= 1):
+        raise ValidationError(f"n_antennas must be >= 1, got {n_antennas!r} (integers only)")
     g1, g2 = thr.gamma1, thr.gamma2
     gsd, grd = snrs.gbar_sd, snrs.gbar_rd
     direct_fail = -math.expm1(-g1 / gsd)

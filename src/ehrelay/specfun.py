@@ -162,10 +162,10 @@ def marcum_q(order: int, a: float, b):
     of its shape. Q is exactly 1 where b^2/2 < 1e-300 (b = 0 included)
     and exactly 0 where b^2/2 overflows.
 
-    Raises ValidationError for order < 1 or negative/NaN arguments (naming
-    the first offending entry of b) and NumericalError, naming order, a
-    and the b values that needed the series, if the mass bound is not met
-    within _MAX_TERMS = 10000 terms.
+    Raises ValidationError for order < 1, negative/NaN arguments (naming
+    the first offending entry of b) or an a whose a^2/2 overflows, and
+    NumericalError, naming order, a and the b values that needed the
+    series, if the mass bound is not met within _MAX_TERMS = 10000 terms.
     """
     try:
         order = operator.index(order)
@@ -175,8 +175,8 @@ def marcum_q(order: int, a: float, b):
         raise ValidationError(f"order must be >= 1, got {order}")
     a = float(a)
     bs = np.asarray(b, dtype=float)
-    if not a >= 0.0:
-        raise ValidationError(f"a must be >= 0, got {a!r}")
+    if not (a >= 0.0 and 0.5 * a * a < math.inf):
+        raise ValidationError(f"a must be >= 0 with a*a/2 finite, got {a!r}")
     bad = ~(bs >= 0.0)
     if bad.any():
         raise ValidationError(f"b must be >= 0, got {float(bs[bad][0])!r}")
@@ -257,10 +257,10 @@ def lower_incomplete_gamma(alpha: float, x: float) -> float:
     """
     alpha = float(alpha)
     x = float(x)
-    if not alpha > 0.0:
-        raise ValidationError(f"alpha must be > 0, got {alpha!r}")
-    if not x >= 0.0:
-        raise ValidationError(f"x must be >= 0, got {x!r}")
+    if not 0.0 < alpha < math.inf:
+        raise ValidationError(f"alpha must be finite and > 0, got {alpha!r}")
+    if not 0.0 <= x < math.inf:
+        raise ValidationError(f"x must be finite and >= 0, got {x!r}")
     if x == 0.0:
         return 0.0
     return _regularized_lower_gamma(alpha, x) * math.gamma(alpha)
@@ -283,7 +283,7 @@ def _regularized_lower_gamma(a: float, x: float) -> float:
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
+    d = 1.0 / b
     h = d
     for i in range(1, _MAX_TERMS + 1):
         an = -i * (i - a)

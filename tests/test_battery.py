@@ -211,6 +211,15 @@ def reference_family(capacity=5e-3, levels=20):
                  id="ChainFamily-levels"),
     pytest.param(lambda: reference_family(capacity=0.0), "capacity must be finite and > 0",
                  id="ChainFamily-capacity"),
+    pytest.param(lambda: reference_family().matrix(3.0),
+                 r"threshold level must be in 1\.\.20 \(an integer\), got 3\.0",
+                 id="ChainFamily-matrix-float"),
+    pytest.param(lambda: reference_family().fill([3.0], np.empty((1, 21, 21))),
+                 r"threshold level must be in 1\.\.20 \(an integer\), got 3\.0",
+                 id="ChainFamily-fill-float"),
+    pytest.param(lambda: reference_family().steady_states([2.5]),
+                 r"threshold level must be in 1\.\.20 \(an integer\), got 2\.5",
+                 id="ChainFamily-steady_states-float"),
 ])
 def test_refusal_names_the_field(build, match):
     with pytest.raises(er.ValidationError, match=match):
@@ -230,10 +239,6 @@ class TestDiscretizeHarvest:
 
     def test_clipped_at_top(self):
         assert er.discretize_harvest(1.0, reference_battery()) == 20
-
-    def test_scalar_gives_int(self):
-        assert type(er.discretize_harvest(6e-4, reference_battery())) is int
-        assert type(er.discretize_harvest(np.float64(0.0), reference_battery())) is int
 
     @settings(max_examples=100, deadline=None)
     @given(levels=st.integers(1, 1000),
@@ -661,6 +666,8 @@ class TestSteadyStates:
                                 5e-3, 20)
         with pytest.raises(er.ValidationError, match=r"threshold level must be in 1\.\.20"):
             family.steady_states([0, 5])
+        # numpy integers are levels too
+        assert np.array_equal(family.matrix(np.int64(3)).z, family.matrix(3).z)
 
 
 class TestWindowOccupancy:

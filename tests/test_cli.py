@@ -3,6 +3,7 @@ CSV format guarantees, determinism and exit codes."""
 
 import csv
 import os
+import re
 from dataclasses import replace
 
 import pytest
@@ -20,6 +21,7 @@ include_baseline = true
 """
 
 GOLDEN_FIG1_CSV = os.path.join(os.path.dirname(__file__), "data", "fig1_analytic.csv")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def write_cfg(tmp_path, text, name="test.cfg"):
@@ -75,6 +77,25 @@ class TestLoadConfig:
         assert spec.grid == (20.0,)
         assert spec.include_baseline and not spec.include_mc
         assert spec.warmup_blocks == 10_000
+
+    def test_readme_table_states_the_defaults(self):
+        # rows like "| `d_sd`, `d_sr`, `d_rd` | `80`, `10`, `70` | ..." or
+        # "| `e_t` / `e_t_grid` | `1e-3` | ...": grid keys take no default cell
+        with open(README, encoding="utf-8") as fh:
+            section = fh.read().split("### Config files", 1)[1]
+        table = re.search(r"^\|.*?(?=\n\n)", section, flags=re.M | re.S).group()
+        listed, cells = [], {}
+        for row in table.splitlines()[2:]:
+            keys_cell, default_cell = row.split(" | ")[:2]
+            keys = re.findall(r"`(\w+)`", keys_cell)
+            plain = [key for key in keys if key not in cli._GRID_KEYS]
+            defaults = re.findall(r"`([^`]+)`", default_cell)
+            assert len(plain) == len(defaults), row
+            listed += keys
+            cells.update(zip(plain, defaults))
+        assert sorted(listed) == sorted([*cli.DEFAULTS, *cli._GRID_KEYS])
+        for key, cell in cells.items():
+            assert cli._parse_flat_file(f"{key} = {cell}") == {key: cli.DEFAULTS[key]}, key
 
     def test_power_grid(self, tmp_path):
         spec = cli.load_config(write_cfg(tmp_path, "p_s_dbm_grid = 15,20,25,30\n"))
@@ -170,11 +191,10 @@ def config_text(draw, values):
 class TestConfigRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), values=st.fixed_dictionaries({}, optional={
-        **{key: st.integers() for key in sorted(cli._INT_KEYS)},
-        **{key: st.booleans() for key in sorted(cli._BOOL_KEYS)},
+        **{key: {int: st.integers(), bool: st.booleans(), float: FINITE}[type(default)]
+           for key, default in cli.DEFAULTS.items()},
         **{key: st.lists(FINITE, min_size=1, max_size=5).map(tuple)
            for key in sorted(cli._GRID_KEYS)},
-        **{key: FINITE for key in sorted(cli._FLOAT_KEYS)},
     }))
     def test_flat_file_parses_back_to_its_values(self, data, values):
         text, values = data.draw(config_text(values))

@@ -34,6 +34,9 @@ class TestMode4JointCdf:
         pytest.param(lambda: er.MeanSnrs(1.0, -1.0), "gbar_rd must be > 0", id="MeanSnrs-gbar_rd"),
         pytest.param(lambda: er.mode4_joint_cdf(er.thresholds(1.0), er.MeanSnrs(2.0, 5.0), 0),
                      "n_antennas must be >= 1, got 0", id="mode4_joint_cdf-n_antennas"),
+        pytest.param(lambda: er.mode4_joint_cdf(er.thresholds(1.0), er.MeanSnrs(2.0, 5.0), 2.5),
+                     r"n_antennas must be >= 1, got 2\.5 \(integers only\)",
+                     id="mode4_joint_cdf-n_antennas-float"),
     ])
     def test_refusal_names_the_field(self, build, match):
         with pytest.raises(er.ValidationError, match=match):

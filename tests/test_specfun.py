@@ -58,6 +58,10 @@ class TestMarcumQ:
     @pytest.mark.parametrize("args, match", [
         pytest.param((1.5, 1.0, 1.0), "order must be an integer, got 1.5", id="order-float"),
         pytest.param(("2", 1.0, 1.0), "order must be an integer, got '2'", id="order-str"),
+        pytest.param((1, math.inf, 1.0), r"a must be >= 0 with a\*a/2 finite, got inf",
+                     id="a-inf"),
+        pytest.param((1, 1e160, 1.0), r"a must be >= 0 with a\*a/2 finite, got 1e\+160",
+                     id="a-square-overflows"),
     ])
     def test_refusal_names_the_argument(self, args, match):
         with pytest.raises(ValidationError, match=match):
@@ -198,6 +202,14 @@ class TestLowerIncompleteGamma:
             lower_incomplete_gamma(0.0, 1.0)
         with pytest.raises(ValidationError):
             lower_incomplete_gamma(2.0, -1.0)
+
+    @pytest.mark.parametrize("args, match", [
+        pytest.param((math.inf, 1.0), "alpha must be finite and > 0, got inf", id="alpha-inf"),
+        pytest.param((2.0, math.inf), "x must be finite and >= 0, got inf", id="x-inf"),
+    ])
+    def test_refusal_names_the_argument(self, args, match):
+        with pytest.raises(ValidationError, match=match):
+            lower_incomplete_gamma(*args)
 
 
 class TestTolerance:
