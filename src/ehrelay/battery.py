@@ -27,8 +27,12 @@ keeps its own band in its pivot sums, its own zero-pivot flag and its
 own overflow rescaling, so its law is bit for bit the one it gets
 alone, whichever levels share its stack. `ChainFamily.mean_charge`
 gives the expected charge of one block from the empty battery, which
-bounds the charge from every level: the threshold search bounds each
-level's outage with it before solving any chain.
+bounds the charge from every level, and `ChainFamily.climb_times` the
+expected full-harvest blocks to climb d levels, from one renewal
+sequence of the Toeplitz full-harvest rows: the threshold search bounds
+each level's outage with both before solving any chain (the drift bound
+and, above L/2, the renewal-reward bound on the time the battery spends
+charged).
 `reachable_steady_state` solves the closed class reachable from the
 empty battery; `steady_state` first checks that the whole chain is
 irreducible and refuses it otherwise.
@@ -231,6 +235,34 @@ class ChainFamily:
         return tuple(float(gains[:-1] @ charge[0, :-1] + self.levels * top[0])
                      for charge, top in ((self._charge_full, self._top_full),
                                          (self._charge_half, self._top_half)))
+
+    def climb_times(self) -> np.ndarray:
+        """T[d], d = 0..L: expected full-harvest blocks to climb at least d levels.
+
+        Full-harvest rows are Toeplitz below L, so T[d] holds from every
+        level s <= L - d, whatever the threshold. It comes from one renewal
+        sequence (Kemeny & Snell, Finite Markov Chains, 1960): u_r, the
+        expected blocks spent exactly r levels up, is u_0 = 1/leave and
+        u_r = (inc_1 u_{r-1} + ... + inc_r u_0) / leave, with inc the
+        full-harvest increments (row 0 of the chain) and leave the mass
+        row 0 sends off its diagonal, summed from those entries so that
+        nothing is subtracted; T[d] = u_0 + ... + u_{d-1}. A battery that
+        never leaves the empty level (leave = 0) never climbs: T[d] = inf
+        for d >= 1. O(L^2), once per threshold search.
+        """
+        ell = self.levels
+        inc = self._charge_full[0, :ell]
+        leave = float(inc[1:].sum() + self._top_full[0])
+        climb = np.zeros(ell + 1)
+        if leave == 0.0:
+            climb[1:] = math.inf
+            return climb
+        u = np.empty(ell)
+        u[0] = 1.0 / leave
+        for r in range(1, ell):
+            u[r] = inc[1:r + 1] @ u[r - 1::-1] / leave
+        np.cumsum(u, out=climb[1:])
+        return climb
 
     def matrix(self, k_thr: int) -> TransitionMatrix:
         """Transition matrix when a cooperative block drains k_thr levels.

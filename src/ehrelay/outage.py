@@ -228,13 +228,21 @@ def _search(family: ChainFamily, params: SystemParams, links: LinkStats,
     and no level charges more a block than the empty battery
     (ChainFamily.mean_charge: g_f under full, (1 - fd) g_h under half
     harvest), so p_e <= u = min(1, g_f / (fd j + g_f - (1 - fd) g_h))
-    when that denominator is positive (else u = 1), and
-    LB = fd - u max(fd - c, 0) <= p_out without solving the chain. Levels
-    are solved one GTH stack at a time in (LB, j) order; after each
-    stack, the levels whose LB exceeds the best outage so far by more
-    than _PRUNE_MARGIN fd, which covers the rounding of LB and p_out, are
-    dropped unsolved. The winner and its ties have LB <= best and are
-    always solved, so the result is the exhaustive search's, bit for bit.
+    when that denominator is positive (else u = 1). Above L/2 a renewal
+    bound tightens u (Ross, Stochastic Processes, 1996, ch. 3): each
+    block at or above j discharges with probability fd to below
+    L - j < j, and the battery then needs T[2j - L] blocks in expectation
+    (ChainFamily.climb_times) to climb back, so (1 - p_e) / p_e >=
+    fd T[2j - L] and p_e <= 1 / (1 + fd T[2j - L]); this is exact at
+    j = L. Then LB = fd - u max(fd - c, 0) <= p_out without solving the
+    chain. Levels are solved in (LB, j) order: first the lowest alone,
+    whose outage most often prunes every other level, then the survivors
+    one GTH stack at a time. After each stack, the levels whose LB
+    exceeds the best outage so far by more than _PRUNE_MARGIN fd, which
+    covers the rounding of LB and p_out, are dropped unsolved. The winner
+    and its ties have LB <= best and are always solved, and a chain's law
+    does not depend on its stack, so the result is the exhaustive
+    search's, bit for bit.
 
     Returns (best candidate k, its BatteryConfig, its SteadyState); the
     smallest candidate wins ties. Solved candidates that fail numerically are
@@ -247,6 +255,7 @@ def _search(family: ChainFamily, params: SystemParams, links: LinkStats,
             for k in range(1, family.levels + 1)]
     fd = family.fail_direct
     gain_full, gain_half = family.mean_charge()
+    climb = family.climb_times()
     by_level = {cfg.eps_t_level: cfg for cfg in cfgs}
     failed, charged, bound = {}, {}, {}
     for j, cfg in by_level.items():
@@ -258,11 +267,16 @@ def _search(family: ChainFamily, params: SystemParams, links: LinkStats,
             continue
         drain = fd * j + gain_full - gain_half
         u = min(1.0, gain_full / drain) if drain > 0.0 else 1.0
+        if 2 * j > family.levels and fd > 0.0:
+            # fd * inf would be NaN at fd = 0, where this bound is 1 anyway
+            u = min(u, 1.0 / (1.0 + fd * climb[2 * j - family.levels]))
         bound[j] = fd - u * max(fd - charged[j], 0.0)
     queue = sorted(bound, key=lambda j: (bound[j], j))
     laws, outage = {}, {}
+    size = 1
     while queue:
-        stack, queue = queue[:family.stack_size], queue[family.stack_size:]
+        stack, queue = queue[:size], queue[size:]
+        size = family.stack_size
         solved = family.steady_states(stack)
         for j in stack:
             if isinstance(solved[j], NumericalError):

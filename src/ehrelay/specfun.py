@@ -212,6 +212,9 @@ def _poisson_mixture(order: int, lam: float, x: np.ndarray):
     g0 = np.array([_poisson_cdf(order - 1 + n0, xi) for xi in xs])
     total = p0 * g0
     weight = p0
+    if 1.0 - weight < _ABS_TOL:
+        # lam = 0 (a = 0, Rician K = 0): the mixture is its first term
+        return total
 
     # chi-square tails G_n = Pr{Poisson(x) <= order-1+n} are updated
     # incrementally in both directions from n0
@@ -254,19 +257,34 @@ def lower_incomplete_gamma(alpha: float, x: float) -> float:
     continued fraction for the complementary integral otherwise. Both
     converge to near machine precision well before _MAX_TERMS for
     any sane argument range; failure to do so raises NumericalError.
+    The regularized value is scaled by math.gamma(alpha); above
+    alpha = 171.6, where that overflows, the result is taken in logs
+    instead, and one past the float range raises NumericalError.
+    alpha >= 2**53 is refused: there x + 1 - alpha rounds to zero.
     """
     alpha = float(alpha)
     x = float(x)
     if not 0.0 < alpha < math.inf:
         raise ValidationError(f"alpha must be finite and > 0, got {alpha!r}")
+    if alpha >= 2.0**53:
+        raise ValidationError(f"alpha must be below 2**53, got {alpha!r}")
     if not 0.0 <= x < math.inf:
         raise ValidationError(f"x must be finite and >= 0, got {x!r}")
     if x == 0.0:
         return 0.0
-    return _regularized_lower_gamma(alpha, x) * math.gamma(alpha)
+    try:
+        scale = math.gamma(alpha)
+    except OverflowError:
+        try:
+            return math.exp(_regularized_lower_gamma(alpha, x, log=True) + math.lgamma(alpha))
+        except OverflowError:
+            raise NumericalError(f"lower incomplete gamma at alpha={alpha}, x={x} "
+                                 "exceeds the float range") from None
+    return _regularized_lower_gamma(alpha, x) * scale
 
 
-def _regularized_lower_gamma(a: float, x: float) -> float:
+def _regularized_lower_gamma(a: float, x: float, log: bool = False) -> float:
+    """P(a, x), the lower integral over Gamma(a), or log P(a, x) with log."""
     if x < a + 1.0:
         # series: P(a,x) = x^a e^-x / Gamma(a+1) * sum_n x^n / ((a+1)...(a+n))
         log_pref = a * math.log(x) - x - math.lgamma(a + 1.0)
@@ -276,6 +294,8 @@ def _regularized_lower_gamma(a: float, x: float) -> float:
             term *= x / (a + n)
             total += term
             if term < total * 1e-17:
+                if log:
+                    return log_pref + math.log(total)
                 return min(1.0, max(0.0, math.exp(log_pref) * total))
         raise NumericalError(f"incomplete gamma series stalled at alpha={a}, x={x}")
 
@@ -299,5 +319,7 @@ def _regularized_lower_gamma(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             q = math.exp(a * math.log(x) - x - math.lgamma(a)) * h
+            if log:
+                return math.log1p(-q)
             return min(1.0, max(0.0, 1.0 - q))
     raise NumericalError(f"incomplete gamma continued fraction stalled at alpha={a}, x={x}")

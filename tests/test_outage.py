@@ -228,20 +228,24 @@ class TestOptimizeThreshold:
 
     def test_skipped_candidate_warning_names_the_caller(self, monkeypatch):
         # a level that fails numerically is skipped, and the warning points
-        # at the line that called the search
+        # at the line that called the search. The failure goes to the first
+        # level the search solves (level 5, candidate 5, alone in its stack):
+        # a level pruned unsolved cannot fail
         params = reference_params(p_s_dbm=24.0)
-        solve = er.ChainFamily.steady_states
+        solve, first = er.ChainFamily.steady_states, []
 
-        def failing_level_one(family, k_thrs):
+        def failing_first_level(family, k_thrs):
             laws = solve(family, k_thrs)
-            laws[1] = er.NumericalError("synthetic zero pivot")
+            if not first:
+                first.append(k_thrs[0])
+                laws[k_thrs[0]] = er.NumericalError("synthetic zero pivot")
             return laws
-        monkeypatch.setattr(er.ChainFamily, "steady_states", failing_level_one)
+        monkeypatch.setattr(er.ChainFamily, "steady_states", failing_first_level)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             er.evaluate_point(params, reference_battery(), optimize=True)
         assert [str(w.message) for w in caught] == [
-            "threshold level 1 skipped: synthetic zero pivot"]
+            "threshold level 5 skipped: synthetic zero pivot"]
         assert caught[0].filename == __file__
 
     def test_every_level_failing_raises_one_error_and_warns_nothing(self, monkeypatch):
@@ -290,17 +294,22 @@ class TestOptimizeThreshold:
         assert peak < 4 * 2**20
 
 
-def outage_bound(family, params, cfg):
+def outage_bound(family, climb, params, cfg):
     """The lower bound LB on the outage of cfg's threshold level that
     the threshold search prunes with, from the public surface: the drift
-    bound u on p_e and the closed-form outage c of a charged relay."""
+    bound u on p_e, tightened above L/2 by the renewal bound
+    1 / (1 + fd T[2j - L]) with T = climb, family.climb_times(), and the
+    closed-form outage c of a charged relay."""
     links, thr = er.link_stats(params), er.thresholds(params.rate)
     fd, frd = family.fail_direct, family.fail_relay_decode
     m4 = er.mode4_joint_cdf(thr, er.mean_snrs(params, links, cfg), params.n_antennas)
     c = (1.0 - frd) * m4 + fd * frd
     gain_full, gain_half = family.mean_charge()
-    drain = fd * cfg.eps_t_level + gain_full - gain_half
+    j, ell = cfg.eps_t_level, family.levels
+    drain = fd * j + gain_full - gain_half
     u = min(1.0, gain_full / drain) if drain > 0.0 else 1.0
+    if 2 * j > ell and fd > 0.0:
+        u = min(u, 1.0 / (1.0 + fd * climb[2 * j - ell]))
     return fd - u * max(fd - c, 0.0)
 
 
@@ -344,6 +353,32 @@ class TestPrunedSearch:
                  for levels in (20, 200, 4096)]
         assert sizes == [2 * 2**20 // (8 * 21**2), 6, 1]
 
+    # L=1 over 0.25 mJ: at 5 mJ one level is out of a block's reach at 24 dBm
+    @pytest.mark.parametrize("levels, capacity", [(1, 2.5e-4), (20, 5e-3), (200, 5e-3)])
+    def test_climb_times_are_hitting_times(self, levels, capacity):
+        # T[d] is the expected time for the empty battery under full harvest
+        # to reach level d or above: h[0] of (I - Q_d) h = 1, with Q_d the
+        # full-harvest rows (rows [0, L) of matrix(L)) over the states below d
+        params = reference_params(p_s_dbm=24.0, n_antennas=2)
+        links, thr = er.link_stats(params), er.thresholds(params.rate)
+        family = er.ChainFamily(params, links, thr, capacity, levels)
+        climb = family.climb_times()
+        z = family.matrix(levels).z
+        hits = [np.linalg.solve(np.eye(d) - z[:d, :d], np.ones(d))[0]
+                for d in range(1, levels + 1)]
+        assert climb[0] == 0.0
+        np.testing.assert_allclose(climb[1:], hits, rtol=1e-12, atol=0.0)
+
+    def test_frozen_family_never_climbs(self):
+        # L=20 at 18 dBm: every full harvest rounds to zero levels
+        params = reference_params(p_s_dbm=18.0)
+        links, thr = er.link_stats(params), er.thresholds(params.rate)
+        family = er.ChainFamily(params, links, thr, 5e-3, 20)
+        assert family.matrix(20).z[0, 0] == 1.0
+        climb = family.climb_times()
+        assert climb[0] == 0.0
+        assert np.all(climb[1:] == math.inf)
+
     @settings(max_examples=25, deadline=None)
     @given(levels=st.one_of(st.integers(1, 200), st.just(200)), n_antennas=st.integers(1, 3),
            p_s_dbm=st.floats(0.0, 40.0), rician_k=st.floats(0.0, 50.0),
@@ -357,6 +392,7 @@ class TestPrunedSearch:
                                   d_sd=d_sd, d_sr=d_sr, d_rd=d_rd)
         links, thr = er.link_stats(params), er.thresholds(params.rate)
         family = er.ChainFamily(params, links, thr, 5e-3, levels)
+        climb = family.climb_times()
         laws = family.steady_states(range(1, levels + 1))
         outages = []
         for k in range(1, levels + 1):
@@ -366,8 +402,8 @@ class TestPrunedSearch:
                 outages.append(math.inf)
                 continue
             outages.append(er.outage_probability(params, links, thr, cfg, law).p_out)
-            assert outage_bound(family, params, cfg) <= (outages[-1]
-                                                         + self.MARGIN * family.fail_direct)
+            assert outage_bound(family, climb, params, cfg) <= (
+                outages[-1] + self.MARGIN * family.fail_direct)
         if min(outages) < math.inf:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -385,19 +421,24 @@ class TestPrunedSearch:
         assert (level, outage, [str(w.message) for w in caught]) == plain_search(params, 200)
 
     def test_prunes_most_levels_at_low_power(self, monkeypatch):
-        # N=1 at 18 dBm: 6 of the 186 distinct levels are solved, against
-        # all 186 by an exhaustive search
-        params = reference_params(p_s_dbm=18.0)
+        # of the 186 distinct levels at L=200, an exhaustive search solves
+        # all; the pruned one solves 1 at 18 dBm N=1 and 30 dBm N=3 and 3 at
+        # 24 dBm N=2 (96-97 with the drift bound alone), and 1 of the 18 at
+        # L=20, 24 dBm N=2 (all 18 when the first stack held every level)
         solve, solved = er.ChainFamily.steady_states, []
 
         def counting(family, k_thrs):
             solved.extend(k_thrs)
             return solve(family, k_thrs)
         monkeypatch.setattr(er.ChainFamily, "steady_states", counting)
-        level, _ = search_threshold(params, 200)
-        assert len(solved) == len(set(solved)) <= 20
-        cfg = reference_battery(200, level * 5e-3 / 200)
-        assert cfg.eps_t_level in solved
+        for levels, p_dbm, n_antennas, most in ((200, 18.0, 1, 20), (200, 24.0, 2, 6),
+                                                (200, 30.0, 3, 6), (20, 24.0, 2, 3)):
+            solved.clear()
+            params = reference_params(p_s_dbm=p_dbm, n_antennas=n_antennas)
+            level, _ = search_threshold(params, levels)
+            assert len(solved) == len(set(solved)) <= most
+            cfg = reference_battery(levels, level * 5e-3 / levels)
+            assert cfg.eps_t_level in solved
 
 
 class TestEvaluatePoint:
@@ -416,3 +457,18 @@ class TestEvaluatePoint:
                 assert np.array_equal(point.pi.pi, pi.pi)
                 assert point.breakdown == solve_outage(params, cfg)
                 assert point.optimal_level is None
+
+    def test_climb_times_only_in_the_search(self, monkeypatch):
+        # the renewal sequence costs O(L^2): a plain point never builds it,
+        # an optimized point builds it once
+        climb, calls = er.ChainFamily.climb_times, []
+
+        def counting(family):
+            calls.append(family.levels)
+            return climb(family)
+        monkeypatch.setattr(er.ChainFamily, "climb_times", counting)
+        params = reference_params(p_s_dbm=24.0, n_antennas=2)
+        er.evaluate_point(params, reference_battery(200))
+        assert calls == []
+        er.evaluate_point(params, reference_battery(200), optimize=True)
+        assert calls == [200]

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 from ehrelay import NumericalError, ValidationError, lower_incomplete_gamma, marcum_q
 from ehrelay import specfun
@@ -206,10 +206,26 @@ class TestLowerIncompleteGamma:
     @pytest.mark.parametrize("args, match", [
         pytest.param((math.inf, 1.0), "alpha must be finite and > 0, got inf", id="alpha-inf"),
         pytest.param((2.0, math.inf), "x must be finite and >= 0, got inf", id="x-inf"),
+        # x + 1 - alpha rounds to zero in the continued fraction
+        pytest.param((2.0**53, 2.0**53), r"alpha must be below 2\*\*53, got 9007199254740992\.0",
+                     id="alpha-2**53"),
+        pytest.param((1e17, 1.0), r"alpha must be below 2\*\*53, got 1e\+17", id="alpha-1e17"),
     ])
     def test_refusal_names_the_argument(self, args, match):
         with pytest.raises(ValidationError, match=match):
             lower_incomplete_gamma(*args)
+
+    @pytest.mark.parametrize("x", [1.0, 10.0, 30.0])
+    def test_quadrature_where_gamma_overflows(self, x):
+        # math.gamma(200) overflows, but the integral is finite (1.8e-3 at x = 1)
+        ref, _ = integrate.quad(lambda t: math.exp(199.0 * math.log(t) - t) if t > 0.0 else 0.0,
+                                0.0, x, epsabs=0.0, epsrel=1e-13)
+        assert lower_incomplete_gamma(200.0, x) == pytest.approx(ref, rel=1e-11)
+
+    @pytest.mark.parametrize("alpha, x", [(200.0, 150.0), (171.7, 1000.0)])
+    def test_past_the_float_range_is_numerical_error(self, alpha, x):
+        with pytest.raises(NumericalError, match="exceeds the float range"):
+            lower_incomplete_gamma(alpha, x)
 
 
 class TestTolerance:
