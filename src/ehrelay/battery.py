@@ -22,10 +22,12 @@ chain), which stays the same width as elimination proceeds. It runs on
 a stack of chains, so each Python-level step serves every chain of the
 stack: `ChainFamily.steady_states` fills `ChainFamily.stack_size`
 chains (_GTH_STACK_BYTES of them) into one buffer and solves them in
-one pass, and a lone chain is the stack of one. Every chain of a stack
-keeps its own band in its pivot sums, its own zero-pivot flag and its
-own overflow rescaling, so its law is bit for bit the one it gets
-alone, whichever levels share its stack. `ChainFamily.mean_charge`
+one pass, and a lone chain is the stack of one. Chains cut down to
+reachable sets of different sizes share one more pass, each shifted up
+to end at its top state. Every chain of a stack keeps its own band in
+its pivot sums, its own zero-pivot flag and its own overflow
+rescaling, so its law is bit for bit the one it gets alone, whichever
+levels share its stack. `ChainFamily.mean_charge`
 gives the expected charge of one block from the empty battery, which
 bounds the charge from every level, and `ChainFamily.climb_times` the
 expected full-harvest blocks to climb d levels, from one renewal
@@ -406,29 +408,39 @@ def _stationary_laws(stack: np.ndarray, failed: list) -> list:
     failed[i] is None for a chain to solve, or the NumericalError it
     already carries (from ChainFamily.fill), which is returned for it as
     is. Chains whose reachable set is every state are moved to the front
-    of the stack and solved there by one stacked GTH pass; the others are
-    cut down to their reachable sets and solved in stacks of equal size.
+    of the stack and solved there by one stacked GTH pass. The others are
+    cut down to their reachable sets and solved by one more pass, each
+    shifted up to end at the top state of the largest (see
+    _gth_stationary), so that cut chains of many sizes, as below the
+    charging threshold at moderate power, take one pass between them.
     """
     n = stack.shape[-1]
     laws = list(failed)
-    groups = {}
-    for slot, z in enumerate(stack):
-        if failed[slot] is not None:
-            continue
-        idx = np.flatnonzero(_reachable_from(z > 0.0))
-        group = groups.setdefault(idx.size, [])
-        if idx.size < n:
-            group.append((slot, idx, z[np.ix_(idx, idx)]))
-            continue
-        if len(group) < slot:
+    reach = _reachable_from(stack > 0.0)
+    idxs = {slot: np.flatnonzero(reach[slot]) for slot, exc in enumerate(failed) if exc is None}
+    cut = [slot for slot, idx in idxs.items() if idx.size < n]
+    # the cut chains are copied out before full ones move over their slots
+    if cut:
+        sizes = [idxs[slot].size for slot in cut]
+        top = max(sizes)
+        floors = [top - size for size in sizes]
+        # the states below a chain's own, and its state 0, step one state
+        # down into them, which no other state of it ever does
+        shifted = np.tile(np.eye(top, k=-1), (len(cut), 1, 1))
+        for p, slot, floor in zip(shifted, cut, floors):
+            p[floor:, floor:] = stack[slot][np.ix_(idxs[slot], idxs[slot])]
+        pis, pivots = _gth_stationary(shifted, floors)
+        for i, (slot, size) in enumerate(zip(cut, sizes)):
+            laws[slot] = _law(pis[i, :size], pivots[i, :size], n, idxs[slot])
+    full = [slot for slot, idx in idxs.items() if idx.size == n]
+    for to, slot in enumerate(full):
+        if to < slot:
             # move it up over the slots of chains that left the stack
-            stack[len(group)] = z
-        group.append((slot, idx, None))
-    for size, group in groups.items():
-        slots, idxs, subs = zip(*group)
-        pis, pivots = _gth_stationary(stack[:len(group)] if size == n else np.stack(subs))
-        for i, slot in enumerate(slots):
-            laws[slot] = _law(pis[i], pivots[i], n, idxs[i])
+            stack[to] = stack[slot]
+    if full:
+        pis, pivots = _gth_stationary(stack[:len(full)])
+        for i, slot in enumerate(full):
+            laws[slot] = _law(pis[i], pivots[i], n, idxs[slot])
     return laws
 
 
@@ -446,7 +458,7 @@ def _law(pi: np.ndarray, pivots: np.ndarray, n: int, idx: np.ndarray):
     return SteadyState(law)
 
 
-def _gth_stationary(p: np.ndarray) -> tuple:
+def _gth_stationary(p: np.ndarray, floors=None) -> tuple:
     """GTH (state-elimination) stationary solve of a stack of stochastic matrices.
 
     p is an (m, n, n) stack, one matrix being the stack of one (m = 1),
@@ -472,32 +484,61 @@ def _gth_stationary(p: np.ndarray) -> tuple:
     subtractions, as in plain GTH.
 
     A chain's law does not depend on the stack it is solved in: a chain
-    narrower than the stack sums its pivot rows over its own band
-    (numpy's pairwise sum groups by length, so leading zeros would move
-    the last bit), the extra columns it carries stay exactly zero, and
-    its back-substitution rescales on its own counts. Pivot sums are
-    written into one (m, n) array for the caller to check after the
-    solve; a chain with a zero pivot turns to inf and NaN from there on,
-    in its own slice only, so it fails alone, and the floating-point
+    whose pivot rows start after the stack's sums them over its own
+    columns (numpy's pairwise sum groups by length, so leading zeros
+    would move the last bit), the extra columns it carries stay exactly
+    zero, and its back-substitution rescales on its own counts. Pivot
+    sums are written into one (m, n) array for the caller to check after
+    the solve; a chain with a zero pivot turns to inf and NaN from there
+    on, in its own slice only, so it fails alone, and the floating-point
     warnings that raises are silenced.
+
+    With `floors`, chain i is a chain of n - floors[i] states shifted up
+    to states floors[i]..n-1, so that its blocks fall where they fall
+    when it is solved alone. The states below it, its own state 0
+    included, step one state down, a step no other state of it takes:
+    they add exact zeros to its states and are eliminated after them,
+    with positive pivots. Its state 0 takes its last update by the
+    lone-row product it gets alone, and its law and pivot sums come back
+    in its own coordinates, states 0..n-1-floors[i], zeros above.
     """
     piv = np.ones(p.shape[:-1])
+    n = p.shape[-1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        _gth_eliminate(p, piv)
-        return _gth_visits(p), piv
+        _gth_eliminate(p, piv, floors or [0] * len(p))
+        if floors is None:
+            pi = _gth_visits(p)
+            pi /= pi.sum(axis=-1, keepdims=True)
+            return pi, piv
+        for i, floor in enumerate(floors):
+            if floor:
+                # back to the chain's own states, zeros above them
+                size = n - floor
+                p[i, :size, :size] = p[i, floor:, floor:]
+                p[i, size:] = 0.0
+                p[i, :size, size:] = 0.0
+                piv[i, 1:size] = piv[i, floor + 1:]
+                piv[i, size:] = 1.0
+        pi = _gth_visits(p)
+        for row, floor in zip(pi, floors):
+            row[:n - floor] /= row[:n - floor].sum()
+    return pi, piv
 
 
-def _gth_eliminate(p: np.ndarray, piv: np.ndarray) -> None:
-    """Eliminate states n-1..1 of every chain of p, writing pivot sums to piv[..., k]."""
+def _gth_eliminate(p: np.ndarray, piv: np.ndarray, floors: list) -> None:
+    """Eliminate states n-1..1 of every chain of p, writing pivot sums to
+    piv[..., k]; chain i is shifted up to states floors[i]..n-1 (see
+    _gth_stationary)."""
     m, n = p.shape[:2]
     # lower bandwidth of each chain: the largest s - j with p[s, j] > 0 and j < s
     bands = [max(0, band) for band in
              (np.arange(n) - (p > 0.0).argmax(axis=-1)).max(axis=-1).tolist()]
     bw = max(bands)
-    # chains narrower than the stack, narrowest first: their pivot sums run
-    # over their own band, as they would in a solve of their own, from the
-    # first pivot where that band ends before the stack's
-    narrow = sorted((band, i) for i, band in enumerate(bands) if band < bw)
+    # chains whose pivot rows can start after the stack's: narrower than
+    # the stack, or shifted up; theirs run over their own band above
+    # their floor, as they would in a solve of their own
+    own = [(i, band, floor) for i, (band, floor) in enumerate(zip(bands, floors))
+           if band < bw or floor > 0]
     piv3 = piv[..., None, None]
     # one flat buffer each for the work arrays and the block-end product;
     # every block takes a C-contiguous view of their leading entries
@@ -520,6 +561,8 @@ def _gth_eliminate(p: np.ndarray, piv: np.ndarray) -> None:
         w = w_buf[:m * 2 * b * wd].reshape(m, 2 * b, wd)
         w[..., :b, :] = ident[_GTH_BLOCK - b:, -wd:]
         w[..., b:, :] = p[..., lo:hi, c0:hi]
+        # the chains with states of their own in this block
+        here = [(i, band, floor) for i, band, floor in own if floor < hi - 1] if own else own
         for k in range(hi - 1, lo - 1, -1):
             r = b + k - lo
             kc = k - c0
@@ -528,13 +571,19 @@ def _gth_eliminate(p: np.ndarray, piv: np.ndarray) -> None:
             s = piv3[..., k, :, :]
             # the row's sum, kept as (..., 1, 1), into piv
             np.add.reduce(row, -1, None, s, True)
-            for band, i in narrow:
-                if band >= k:
-                    break
-                piv[i, k] = np.add.reduce(w[i, r, kc - band:kc])
+            for i, band, floor in here:
+                start = max(floor, k - band)
+                if floor < k and start > c0 + c:
+                    piv[i, k] = np.add.reduce(w[i, r, start - c0:kc])
             col = w[..., :r, kc:kc + 1]
             col /= s
             w[..., :r, c:kc] += col * row
+        # a shifted chain's last block, above which its state 0 is a lone
+        # row when it is solved alone: that row's update here is the
+        # lone-row product it takes then, not a block row's
+        heads = [(i, floor, np.matmul(p[i:i + 1, floor:floor + 1, floor + 1:hi],
+                                      w[i:i + 1, b + floor + 1 - hi:b, floor - c0:hi - c0]))
+                 for i, band, floor in here if 0 < floor and lo <= floor + 1] if here else ()
         # in slabs of `slab` rows, none of one row: BLAS multiplies a lone
         # row by another route, and a chain must come out as it would alone
         r0 = 0
@@ -546,10 +595,12 @@ def _gth_eliminate(p: np.ndarray, piv: np.ndarray) -> None:
             p[..., r0:r1, lo:hi] = y[..., lo - c0:]
             r0 = r1
         p[..., lo:hi, lo:hi] = w[..., b:, lo - c0:]
+        for i, floor, head in heads:
+            p[i, floor, floor + 1:hi] = head[0, 0, 1:]
 
 
 def _gth_visits(p: np.ndarray) -> np.ndarray:
-    """Normalized visit counts from eliminated chains: pi[k] = pi[:k] . p[:k, k]."""
+    """Visit counts relative to state 0 from eliminated chains: pi[k] = pi[:k] . p[:k, k]."""
     n = p.shape[-1]
     pi = np.zeros(p.shape[:-1])
     pi[..., 0] = 1.0
@@ -569,23 +620,34 @@ def _gth_visits(p: np.ndarray) -> np.ndarray:
         big = over[:, j - k]
         pi[big, :j + 1] /= pi[big, j, None]
         k = j + 1
-    pi /= pi.sum(axis=-1, keepdims=True)
     return pi
 
 
 def _reachable_from(adj: np.ndarray) -> np.ndarray:
-    """States reachable from state 0 on the pattern adj, state 0 included."""
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
+    """States reachable from state 0 on each pattern of an (m, n, n) stack,
+    state 0 included, as an (m, n) mask: one breadth-first search for the
+    whole stack, each step taking the rows of every chain's frontier."""
+    seen = np.zeros(adj.shape[:-1], dtype=bool)
+    seen[:, 0] = True
+    if len(adj) == 1:
+        # a lone chain ORs its frontier rows directly
+        lone, mask = adj[0], seen[0]
+        frontier = mask.copy()
+        while frontier.any():
+            frontier = lone[frontier].any(axis=0) & ~mask
+            mask |= frontier
+        return seen
     frontier = seen.copy()
+    chain_ids = np.arange(len(adj))[:, None]
     while frontier.any():
-        nxt = adj[frontier].any(axis=0) & ~seen
-        seen |= nxt
-        frontier = nxt
+        # each chain ORs its own frontier rows: a boolean product with the
+        # chain-by-row selector
+        chains, states = np.nonzero(frontier)
+        frontier = np.matmul(chains == chain_ids, adj[chains, states]) & ~seen
+        seen |= frontier
     return seen
 
 
 def _strongly_connected(adj: np.ndarray) -> bool:
     """Every state reachable from state 0 and vice versa on the nonzero pattern."""
-    return bool(_reachable_from(adj).all()) and bool(_reachable_from(adj.T).all())
+    return bool(_reachable_from(adj[None]).all()) and bool(_reachable_from(adj.T[None]).all())

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 import ehrelay as er
@@ -631,6 +631,50 @@ class TestSteadyStates:
             for k, law in laws.items():
                 try:
                     alone = er.reachable_steady_state(family.matrix(k))
+                except er.NumericalError as exc:
+                    assert isinstance(law, er.NumericalError) and str(law) == str(exc)
+                else:
+                    assert np.array_equal(law.pi, alone.pi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.sampled_from([2, 3, 9, 10, 17, 25, 40]),
+           chains=st.lists(st.tuples(st.integers(1, 40), st.floats(0.0, 1.0),
+                                     st.sampled_from([None, "up", "down"]), st.booleans()),
+                           min_size=1, max_size=6),
+           broken=st.one_of(st.none(), st.integers(0, 5)),
+           stack_bytes=st.sampled_from([None, 1, 2000]),
+           seed=st.integers(0, 2**32 - 1))
+    # a one-state chain beside cut chains across several blocks
+    @example(n=25, chains=[(1, 0.0, None, False), (11, 0.5, "up", True), (20, 1.0, None, False),
+                           (24, 0.2, None, True)], broken=None, stack_bytes=None, seed=5)
+    def test_cut_chains_of_mixed_sizes(self, n, chains, broken, stack_bytes, seed):
+        # chains cut down to reachable sets of many sizes, prefixes or
+        # scattered, share one shifted pass and come out as they do alone
+        rng = np.random.default_rng(seed)
+        stack = []
+        for i, (size, share, stiff, scattered) in enumerate(chains):
+            size = min(size, n)
+            closed = np.arange(size)
+            if scattered and 1 < size < n:
+                closed[1:] = np.sort(rng.choice(np.arange(1, n), size - 1, replace=False))
+            if size == 1:
+                inner = np.ones((1, 1))
+            elif i == broken:
+                inner = zero_pivot_chain(size, int(rng.integers(1, size)))
+            else:
+                inner = random_chain(rng, size, 1 + round(share * (size - 2)), 0.5, stiff)
+            z = rng.random((n, n))
+            z /= z.sum(axis=1, keepdims=True)
+            z[closed] = 0.0
+            z[np.ix_(closed, closed)] = inner
+            stack.append(z)
+        stack = np.stack(stack)
+        with mock.patch.object(er.battery, "_GTH_STACK_BYTES",
+                               stack_bytes or er.battery._GTH_STACK_BYTES):
+            laws = er.battery._stationary_laws(stack.copy(), [None] * len(stack))
+            for law, z in zip(laws, stack):
+                try:
+                    alone = er.reachable_steady_state(er.TransitionMatrix(z))
                 except er.NumericalError as exc:
                     assert isinstance(law, er.NumericalError) and str(law) == str(exc)
                 else:
