@@ -22,19 +22,17 @@ chain), which stays the same width as elimination proceeds. It runs on
 a stack of chains, so each Python-level step serves every chain of the
 stack: `ChainFamily.steady_states` fills `ChainFamily.stack_size`
 chains (_GTH_STACK_BYTES of them) into one buffer and solves them in
-one pass, and a lone chain is the stack of one. Chains cut down to
-reachable sets of different sizes share one more pass, each shifted up
-to end at its top state. Every chain of a stack keeps its own band in
-its pivot sums, its own zero-pivot flag and its own overflow
-rescaling, so its law is bit for bit the one it gets alone, whichever
-levels share its stack. `ChainFamily.mean_charge`
-gives the expected charge of one block from the empty battery, which
-bounds the charge from every level, and `ChainFamily.climb_times` the
-expected full-harvest blocks to climb d levels, from one renewal
-sequence of the Toeplitz full-harvest rows: the threshold search bounds
-each level's outage with both before solving any chain (the drift bound
-and, above L/2, the renewal-reward bound on the time the battery spends
-charged).
+one pass, and a lone chain, or one cut down to its reachable set, is
+the stack of one. Every chain of a stack keeps its own band in its
+pivot sums, its own zero-pivot flag and its own overflow rescaling, so
+its law is bit for bit the one it gets alone, whichever levels share
+its stack. `ChainFamily.mean_charge` gives the expected charge of one
+block from the empty battery, which bounds the charge from every level,
+and `ChainFamily.climb_times` the expected full-harvest blocks to climb
+d levels, from one renewal sequence of the Toeplitz full-harvest rows:
+the threshold search bounds each level's outage with both before
+solving any chain (the drift bound and, above L/2, the renewal-reward
+bound on the time the battery spends charged).
 `reachable_steady_state` solves the closed class reachable from the
 empty battery; `steady_state` first checks that the whole chain is
 irreducible and refuses it otherwise.
@@ -408,35 +406,24 @@ def _stationary_laws(stack: np.ndarray, failed: list) -> list:
     failed[i] is None for a chain to solve, or the NumericalError it
     already carries (from ChainFamily.fill), which is returned for it as
     is. Chains whose reachable set is every state are moved to the front
-    of the stack and solved there by one stacked GTH pass. The others are
-    cut down to their reachable sets and solved by one more pass, each
-    shifted up to end at the top state of the largest (see
-    _gth_stationary), so that cut chains of many sizes, as below the
-    charging threshold at moderate power, take one pass between them.
+    of the stack and solved there by one stacked GTH pass; the others are
+    cut down to their reachable sets and solved one at a time, each as a
+    stack of one, before a full chain can move over its slot.
     """
     n = stack.shape[-1]
     laws = list(failed)
     reach = _reachable_from(stack > 0.0)
     idxs = {slot: np.flatnonzero(reach[slot]) for slot, exc in enumerate(failed) if exc is None}
-    cut = [slot for slot, idx in idxs.items() if idx.size < n]
-    # the cut chains are copied out before full ones move over their slots
-    if cut:
-        sizes = [idxs[slot].size for slot in cut]
-        top = max(sizes)
-        floors = [top - size for size in sizes]
-        # the states below a chain's own, and its state 0, step one state
-        # down into them, which no other state of it ever does
-        shifted = np.tile(np.eye(top, k=-1), (len(cut), 1, 1))
-        for p, slot, floor in zip(shifted, cut, floors):
-            p[floor:, floor:] = stack[slot][np.ix_(idxs[slot], idxs[slot])]
-        pis, pivots = _gth_stationary(shifted, floors)
-        for i, (slot, size) in enumerate(zip(cut, sizes)):
-            laws[slot] = _law(pis[i, :size], pivots[i, :size], n, idxs[slot])
-    full = [slot for slot, idx in idxs.items() if idx.size == n]
-    for to, slot in enumerate(full):
-        if to < slot:
+    full = []
+    for slot, idx in idxs.items():
+        if idx.size < n:
+            pis, pivots = _gth_stationary(stack[slot][np.ix_(idx, idx)][None])
+            laws[slot] = _law(pis[0], pivots[0], n, idx)
+            continue
+        if len(full) < slot:
             # move it up over the slots of chains that left the stack
-            stack[to] = stack[slot]
+            stack[len(full)] = stack[slot]
+        full.append(slot)
     if full:
         pis, pivots = _gth_stationary(stack[:len(full)])
         for i, slot in enumerate(full):
@@ -458,7 +445,7 @@ def _law(pi: np.ndarray, pivots: np.ndarray, n: int, idx: np.ndarray):
     return SteadyState(law)
 
 
-def _gth_stationary(p: np.ndarray, floors=None) -> tuple:
+def _gth_stationary(p: np.ndarray) -> tuple:
     """GTH (state-elimination) stationary solve of a stack of stochastic matrices.
 
     p is an (m, n, n) stack, one matrix being the stack of one (m = 1),
@@ -484,61 +471,32 @@ def _gth_stationary(p: np.ndarray, floors=None) -> tuple:
     subtractions, as in plain GTH.
 
     A chain's law does not depend on the stack it is solved in: a chain
-    whose pivot rows start after the stack's sums them over its own
-    columns (numpy's pairwise sum groups by length, so leading zeros
-    would move the last bit), the extra columns it carries stay exactly
-    zero, and its back-substitution rescales on its own counts. Pivot
-    sums are written into one (m, n) array for the caller to check after
-    the solve; a chain with a zero pivot turns to inf and NaN from there
-    on, in its own slice only, so it fails alone, and the floating-point
+    narrower than the stack sums its pivot rows over its own band
+    (numpy's pairwise sum groups by length, so leading zeros would move
+    the last bit), the extra columns it carries stay exactly zero, and
+    its back-substitution rescales on its own counts. Pivot sums are
+    written into one (m, n) array for the caller to check after the
+    solve; a chain with a zero pivot turns to inf and NaN from there on,
+    in its own slice only, so it fails alone, and the floating-point
     warnings that raises are silenced.
-
-    With `floors`, chain i is a chain of n - floors[i] states shifted up
-    to states floors[i]..n-1, so that its blocks fall where they fall
-    when it is solved alone. The states below it, its own state 0
-    included, step one state down, a step no other state of it takes:
-    they add exact zeros to its states and are eliminated after them,
-    with positive pivots. Its state 0 takes its last update by the
-    lone-row product it gets alone, and its law and pivot sums come back
-    in its own coordinates, states 0..n-1-floors[i], zeros above.
     """
     piv = np.ones(p.shape[:-1])
-    n = p.shape[-1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        _gth_eliminate(p, piv, floors or [0] * len(p))
-        if floors is None:
-            pi = _gth_visits(p)
-            pi /= pi.sum(axis=-1, keepdims=True)
-            return pi, piv
-        for i, floor in enumerate(floors):
-            if floor:
-                # back to the chain's own states, zeros above them
-                size = n - floor
-                p[i, :size, :size] = p[i, floor:, floor:]
-                p[i, size:] = 0.0
-                p[i, :size, size:] = 0.0
-                piv[i, 1:size] = piv[i, floor + 1:]
-                piv[i, size:] = 1.0
-        pi = _gth_visits(p)
-        for row, floor in zip(pi, floors):
-            row[:n - floor] /= row[:n - floor].sum()
-    return pi, piv
+        _gth_eliminate(p, piv)
+        return _gth_visits(p), piv
 
 
-def _gth_eliminate(p: np.ndarray, piv: np.ndarray, floors: list) -> None:
-    """Eliminate states n-1..1 of every chain of p, writing pivot sums to
-    piv[..., k]; chain i is shifted up to states floors[i]..n-1 (see
-    _gth_stationary)."""
+def _gth_eliminate(p: np.ndarray, piv: np.ndarray) -> None:
+    """Eliminate states n-1..1 of every chain of p, writing pivot sums to piv[..., k]."""
     m, n = p.shape[:2]
     # lower bandwidth of each chain: the largest s - j with p[s, j] > 0 and j < s
     bands = [max(0, band) for band in
              (np.arange(n) - (p > 0.0).argmax(axis=-1)).max(axis=-1).tolist()]
     bw = max(bands)
-    # chains whose pivot rows can start after the stack's: narrower than
-    # the stack, or shifted up; theirs run over their own band above
-    # their floor, as they would in a solve of their own
-    own = [(i, band, floor) for i, (band, floor) in enumerate(zip(bands, floors))
-           if band < bw or floor > 0]
+    # chains narrower than the stack, narrowest first: their pivot sums run
+    # over their own band, as they would in a solve of their own, from the
+    # first pivot where that band ends before the stack's
+    narrow = sorted((band, i) for i, band in enumerate(bands) if band < bw)
     piv3 = piv[..., None, None]
     # one flat buffer each for the work arrays and the block-end product;
     # every block takes a C-contiguous view of their leading entries
@@ -561,8 +519,6 @@ def _gth_eliminate(p: np.ndarray, piv: np.ndarray, floors: list) -> None:
         w = w_buf[:m * 2 * b * wd].reshape(m, 2 * b, wd)
         w[..., :b, :] = ident[_GTH_BLOCK - b:, -wd:]
         w[..., b:, :] = p[..., lo:hi, c0:hi]
-        # the chains with states of their own in this block
-        here = [(i, band, floor) for i, band, floor in own if floor < hi - 1] if own else own
         for k in range(hi - 1, lo - 1, -1):
             r = b + k - lo
             kc = k - c0
@@ -571,19 +527,13 @@ def _gth_eliminate(p: np.ndarray, piv: np.ndarray, floors: list) -> None:
             s = piv3[..., k, :, :]
             # the row's sum, kept as (..., 1, 1), into piv
             np.add.reduce(row, -1, None, s, True)
-            for i, band, floor in here:
-                start = max(floor, k - band)
-                if floor < k and start > c0 + c:
-                    piv[i, k] = np.add.reduce(w[i, r, start - c0:kc])
+            for band, i in narrow:
+                if band >= k:
+                    break
+                piv[i, k] = np.add.reduce(w[i, r, kc - band:kc])
             col = w[..., :r, kc:kc + 1]
             col /= s
             w[..., :r, c:kc] += col * row
-        # a shifted chain's last block, above which its state 0 is a lone
-        # row when it is solved alone: that row's update here is the
-        # lone-row product it takes then, not a block row's
-        heads = [(i, floor, np.matmul(p[i:i + 1, floor:floor + 1, floor + 1:hi],
-                                      w[i:i + 1, b + floor + 1 - hi:b, floor - c0:hi - c0]))
-                 for i, band, floor in here if 0 < floor and lo <= floor + 1] if here else ()
         # in slabs of `slab` rows, none of one row: BLAS multiplies a lone
         # row by another route, and a chain must come out as it would alone
         r0 = 0
@@ -595,12 +545,10 @@ def _gth_eliminate(p: np.ndarray, piv: np.ndarray, floors: list) -> None:
             p[..., r0:r1, lo:hi] = y[..., lo - c0:]
             r0 = r1
         p[..., lo:hi, lo:hi] = w[..., b:, lo - c0:]
-        for i, floor, head in heads:
-            p[i, floor, floor + 1:hi] = head[0, 0, 1:]
 
 
 def _gth_visits(p: np.ndarray) -> np.ndarray:
-    """Visit counts relative to state 0 from eliminated chains: pi[k] = pi[:k] . p[:k, k]."""
+    """Normalized visit counts from eliminated chains: pi[k] = pi[:k] . p[:k, k]."""
     n = p.shape[-1]
     pi = np.zeros(p.shape[:-1])
     pi[..., 0] = 1.0
@@ -620,6 +568,7 @@ def _gth_visits(p: np.ndarray) -> np.ndarray:
         big = over[:, j - k]
         pi[big, :j + 1] /= pi[big, j, None]
         k = j + 1
+    pi /= pi.sum(axis=-1, keepdims=True)
     return pi
 
 

@@ -211,8 +211,8 @@ def _candidate(capacity: float, levels: int, k: int) -> BatteryConfig:
                          e_t=min(k * capacity / levels, capacity))
 
 
-# pruning margin of the threshold search in units of fd, not of the best
-# outage: p_out can sit decades below fd, but LB and p_out round at fd's scale
+# relative error the threshold search allows p_e's solve and its bound u, and
+# the cap of its pruning margin in units of fd (see _search)
 _PRUNE_MARGIN = 1e-12
 
 
@@ -235,14 +235,23 @@ def _search(family: ChainFamily, params: SystemParams, links: LinkStats,
     (ChainFamily.climb_times) to climb back, so (1 - p_e) / p_e >=
     fd T[2j - L] and p_e <= 1 / (1 + fd T[2j - L]); this is exact at
     j = L. Then LB = fd - u max(fd - c, 0) <= p_out without solving the
-    chain. Levels are solved in (LB, j) order: first the lowest alone,
-    whose outage most often prunes every other level, then the survivors
-    one GTH stack at a time. After each stack, the levels whose LB
-    exceeds the best outage so far by more than _PRUNE_MARGIN fd, which
-    covers the rounding of LB and p_out, are dropped unsolved. The winner
-    and its ties have LB <= best and are always solved, and a chain's law
-    does not depend on its stack, so the result is the exhaustive
-    search's, bit for bit.
+    chain, up to rounding, which m = min(1e-12 fd, 16 fd min(eps, u) +
+    1e-12 u max(fd - c, 0)), eps = 2**-52, covers. Its second term is a
+    1e-12 relative error in p_e (the solve's, and that of the sums behind
+    u), which enters p_out only through p_e (fd - c). Its first covers
+    the rounding of 1 - p_e and of the products and sums in p_out and LB:
+    each is at most half an ulp at fd's scale (c <= fd), and at most the
+    term it adds to or takes from fd, at most u fd (1 - p_e rounds to 1
+    while p_e < eps/4). So m is 0 where u = 0, as in a frozen chain,
+    whose p_e = 0 gives LB = p_out = fd exactly. Rounding is monotone, so
+    LB - m stays <= p_out, a float, once it is rounded itself. Levels are
+    solved in (LB - m, j) order: first the lowest alone, whose outage most
+    often prunes every other level, then the survivors one GTH stack at a
+    time. After each stack, level j is dropped unsolved once
+    (LB - m, j) > (best, j_best), the best outage so far and its level:
+    it cannot win, since the smallest level wins ties. A chain's law does
+    not depend on its stack, so the result is the exhaustive search's,
+    bit for bit.
 
     Returns (best candidate k, its BatteryConfig, its SteadyState); the
     smallest candidate wins ties. Solved candidates that fail numerically are
@@ -270,7 +279,10 @@ def _search(family: ChainFamily, params: SystemParams, links: LinkStats,
         if 2 * j > family.levels and fd > 0.0:
             # fd * inf would be NaN at fd = 0, where this bound is 1 anyway
             u = min(u, 1.0 / (1.0 + fd * climb[2 * j - family.levels]))
-        bound[j] = fd - u * max(fd - charged[j], 0.0)
+        spread = max(fd - charged[j], 0.0)
+        # LB - m, the margin m as in the docstring
+        bound[j] = fd - u * spread - min(_PRUNE_MARGIN * fd, 16.0 * fd * min(2.0**-52, u)
+                                          + _PRUNE_MARGIN * u * spread)
     queue = sorted(bound, key=lambda j: (bound[j], j))
     laws, outage = {}, {}
     size = 1
@@ -285,8 +297,8 @@ def _search(family: ChainFamily, params: SystemParams, links: LinkStats,
             laws[j] = solved[j]
             outage[j] = _breakdown(laws[j], by_level[j], fd, charged[j]).p_out
         if outage:
-            cut = min(outage.values()) + _PRUNE_MARGIN * fd
-            queue = [j for j in queue if bound[j] <= cut]
+            best = min((p_out, j) for j, p_out in outage.items())
+            queue = [j for j in queue if (bound[j], j) <= best]
     skipped = [(k, failed[cfg.eps_t_level]) for k, cfg in enumerate(cfgs, start=1)
                if cfg.eps_t_level in failed]
     if not outage:
@@ -296,9 +308,8 @@ def _search(family: ChainFamily, params: SystemParams, links: LinkStats,
     for k, exc in skipped:
         # attributed to the caller of evaluate_point
         warnings.warn(f"threshold level {k} skipped: {exc}", stacklevel=3)
-    best = min(outage, key=lambda j: (outage[j], j))
-    k = next(k for k, cfg in enumerate(cfgs, start=1) if cfg.eps_t_level == best)
-    return k, cfgs[k - 1], laws[best]
+    k = next(k for k, cfg in enumerate(cfgs, start=1) if cfg.eps_t_level == best[1])
+    return k, cfgs[k - 1], laws[best[1]]
 
 
 @dataclass(frozen=True)

@@ -649,7 +649,8 @@ class TestSteadyStates:
                            (24, 0.2, None, True)], broken=None, stack_bytes=None, seed=5)
     def test_cut_chains_of_mixed_sizes(self, n, chains, broken, stack_bytes, seed):
         # chains cut down to reachable sets of many sizes, prefixes or
-        # scattered, share one shifted pass and come out as they do alone
+        # scattered, beside full ones that move over their slots, come out
+        # as they do alone
         rng = np.random.default_rng(seed)
         stack = []
         for i, (size, share, stiff, scattered) in enumerate(chains):
