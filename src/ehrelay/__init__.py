@@ -15,8 +15,8 @@ from .battery import (BatteryConfig, ChainFamily, SteadyState, TransitionMatrix,
                       build_transition_matrix, discretize_harvest,
                       reachable_steady_state, steady_state)
 from .outage import (MeanSnrs, OutageBreakdown, Point, direct_baseline,
-                     energy_sufficiency, evaluate_point, mean_snrs,
-                     mode4_joint_cdf, outage_probability)
+                     energy_sufficiency, evaluate_point, evaluate_points,
+                     mean_snrs, mode4_joint_cdf, outage_probability)
 from .simulator import SimulationResult, simulate
 
 __version__ = "0.1.0"
@@ -42,6 +42,7 @@ __all__ = [
     "discretize_harvest",
     "energy_sufficiency",
     "evaluate_point",
+    "evaluate_points",
     "link_stats",
     "lower_incomplete_gamma",
     "marcum_q",

@@ -20,24 +20,29 @@ eliminates states from the top in blocks and touches only the lower
 band read off the chain's nonzero pattern (k_thr wide for a battery
 chain), which stays the same width as elimination proceeds. It runs on
 a stack of chains, so each Python-level step serves every chain of the
-stack: `ChainFamily.steady_states` fills `ChainFamily.stack_size`
-chains (_GTH_STACK_BYTES of them) into one buffer and solves them in
-one pass, and a lone chain, or one cut down to its reachable set, is
-the stack of one. Every chain of a stack keeps its own band in its
-pivot sums, its own zero-pivot flag and its own overflow rescaling, so
-its law is bit for bit the one it gets alone, whichever levels share
-its stack. `ChainFamily.mean_charge` gives the expected charge of one
-block from the empty battery, which bounds the charge from every level,
-and `ChainFamily.climb_times` the expected full-harvest blocks to climb
-d levels, from one renewal sequence of the Toeplitz full-harvest rows:
-the threshold search bounds each level's outage with both before
-solving any chain (the drift bound and, above L/2, the renewal-reward
-bound on the time the battery spends charged).
+stack: `stacked_steady_states` fills chains of any families, through
+`ChainFamily.fill`, `ChainFamily.stack_size` at a time (_GTH_STACK_BYTES
+of them) into one buffer and solves them in one pass. That one driver
+serves `ChainFamily.steady_states`, the threshold search's levels of one
+family, and `outage.evaluate_points`, the chains of a whole sweep grid,
+whose families share one Marcum-Q pass (`harvest_grid` says where each
+family evaluates the source-relay CDF); a lone chain, or one cut down
+to its reachable set, is the stack of one. Every chain of a stack keeps
+its own band in its pivot sums, its own zero-pivot flag and its own
+overflow rescaling, so its law is bit for bit the one it gets alone,
+whichever chains share its stack. `ChainFamily.mean_charge` gives the
+expected charge of one block from the empty battery, which bounds the
+charge from every level, and `ChainFamily.climb_times` the expected
+full-harvest blocks to climb d levels, from one renewal sequence of the
+Toeplitz full-harvest rows: the threshold search bounds each level's
+outage with both before solving any chain (the drift bound and, above
+L/2, the renewal-reward bound on the time the battery spends charged).
 `reachable_steady_state` solves the closed class reachable from the
 empty battery; `steady_state` first checks that the whole chain is
 irreducible and refuses it otherwise.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -53,9 +58,11 @@ __all__ = [
     "TransitionMatrix",
     "SteadyState",
     "discretize_harvest",
+    "harvest_grid",
     "build_transition_matrix",
     "steady_state",
     "reachable_steady_state",
+    "stacked_steady_states",
 ]
 
 # a chain over L+1 states is a dense (L+1)^2 float64 matrix: 128 MiB at L = 4096
@@ -68,9 +75,9 @@ _MAX_LEVELS = 1_000_000
 # states eliminated per block by the GTH solve
 _GTH_BLOCK = 8
 
-# bytes of chain matrices the threshold search stacks into one GTH pass: six
-# chains at L = 200, all twenty at L = 20; the solve's block-end product takes
-# a quarter of this at a time
+# bytes of chain matrices stacked_steady_states puts into one GTH pass: six
+# chains at L = 200, 594 at L = 20; the solve's block-end product takes a
+# quarter of this at a time
 _GTH_STACK_BYTES = 2 * 2**20
 
 
@@ -176,6 +183,29 @@ def discretize_harvest(e_h, cfg: BatteryConfig):
     return level.astype(np.int64)
 
 
+def harvest_grid(params: SystemParams, thr: Thresholds, capacity: float,
+                 levels: int) -> np.ndarray:
+    """Where a ChainFamily evaluates the source-relay gain CDF: the gains
+    whose full-block harvest, then half-block harvest, is 0..L levels, and
+    the relay's decode threshold gamma2 n0 / p_s, as one (2L+3,) array.
+
+    Refuses a chain too large to assemble, by levels, before any table is
+    evaluated.
+    """
+    if not (isinstance(levels, int) and levels >= 1):
+        raise ValidationError(f"levels must be an integer >= 1, got {levels!r}")
+    if levels > _MAX_CHAIN_LEVELS:
+        need = (levels + 1) ** 2 * 8 / 2**30
+        raise ValidationError(
+            f"levels={levels} would need a {need:.1f} GiB transition matrix; the "
+            f"analytic chain allows levels <= {_MAX_CHAIN_LEVELS} (128 MiB)")
+    if not 0.0 < capacity < math.inf:
+        raise ValidationError(f"capacity must be finite and > 0, got {capacity!r}")
+    unit = capacity / (params.eta * params.p_s * levels)
+    j = np.arange(levels + 1)
+    return np.concatenate((j * unit, 2.0 * j * unit, [thr.gamma2 * params.n0 / params.p_s]))
+
+
 class ChainFamily:
     """Battery transition matrices of one link setup for every threshold level.
 
@@ -184,31 +214,22 @@ class ChainFamily:
     the threshold, so they are evaluated once here and shared by every
     `matrix(k)`, as are the upper Toeplitz views of their increments
     that `matrix(k)` copies rows from. Both CDF tables come from one
-    array `cdf_h_sr` call, which also gives `fail_relay_decode`, the
-    source-relay CDF at the relay's decode threshold gamma2 n0 / p_s: the
-    chain does not use it, but the outage closed form of every threshold
-    level does.
+    array `cdf_h_sr` call at `harvest_grid`, which also gives
+    `fail_relay_decode`, the source-relay CDF at the relay's decode
+    threshold gamma2 n0 / p_s: the chain does not use it, but the outage
+    closed form of every threshold level does. `cdf` takes that call's
+    result where it was shared with other families: `evaluate_points`
+    makes one call over the grids of a whole sweep, which gives every
+    family the tables of its own call, bit for bit (see marcum_q).
+    `stacked_steady_states` solves the chains of many families together.
     """
 
     def __init__(self, params: SystemParams, links: LinkStats, thr: Thresholds,
-                 capacity: float, levels: int):
-        if not (isinstance(levels, int) and levels >= 1):
-            raise ValidationError(f"levels must be an integer >= 1, got {levels!r}")
-        if levels > _MAX_CHAIN_LEVELS:
-            need = (levels + 1) ** 2 * 8 / 2**30
-            raise ValidationError(
-                f"levels={levels} would need a {need:.1f} GiB transition matrix; the "
-                f"analytic chain allows levels <= {_MAX_CHAIN_LEVELS} (128 MiB)")
-        if not 0.0 < capacity < math.inf:
-            raise ValidationError(f"capacity must be finite and > 0, got {capacity!r}")
-        unit = capacity / (params.eta * params.p_s * levels)
+                 capacity: float, levels: int, cdf: np.ndarray | None = None):
+        grid = harvest_grid(params, thr, capacity, levels)
         self.capacity = capacity
         self.levels = levels
-        j = np.arange(levels + 1)
-        # one cdf_h_sr pass: both harvest grids, then the relay's decode threshold
-        f = cdf_h_sr(np.concatenate((j * unit, 2.0 * j * unit,
-                                     [thr.gamma2 * params.n0 / params.p_s])),
-                     params, links.omega_sr)
+        f = cdf_h_sr(grid, params, links.omega_sr) if cdf is None else cdf
         self.f_full = f[:levels + 1]
         self.f_half = f[levels + 1:-1]
         self.fail_relay_decode = float(f[-1])
@@ -221,8 +242,8 @@ class ChainFamily:
 
     @property
     def stack_size(self) -> int:
-        """Chains that steady_states solves in one GTH pass: _GTH_STACK_BYTES of
-        (L+1)x(L+1) matrices, and at least one."""
+        """Chains that stacked_steady_states solves in one GTH pass:
+        _GTH_STACK_BYTES of (L+1)x(L+1) matrices, and at least one."""
         return max(1, _GTH_STACK_BYTES // (8 * (self.levels + 1) ** 2))
 
     def mean_charge(self) -> tuple:
@@ -326,21 +347,35 @@ class ChainFamily:
         building or solving its chain raises, equal to what matrix(k) and
         reachable_steady_state give. The levels are taken in increasing
         order, so the chains of a stack have nearly the same band, and
-        filled stack_size at a time into one buffer (six chains at
-        L = 200), which the solve shared with reachable_steady_state
-        works on in place. A chain that fails leaves the others of its
-        stack as they are.
+        solved by stacked_steady_states, stack_size at a time (six chains
+        at L = 200).
         """
-        n = self.levels + 1
         k_thrs = sorted(set(k_thrs))
-        per_stack = self.stack_size
-        buf = np.empty((min(per_stack, len(k_thrs)), n, n))
-        laws = {}
-        for first in range(0, len(k_thrs), per_stack):
-            chunk = k_thrs[first:first + per_stack]
+        return dict(zip(k_thrs, stacked_steady_states([(self, k) for k in k_thrs])))
+
+
+def stacked_steady_states(chains):
+    """Yield reachable_steady_state(family.matrix(k)) for each (family, k) of
+    `chains`, in order: a SteadyState, or the NumericalError that building
+    or solving that chain raises.
+
+    Runs of chains of one size, from one family or many, are filled
+    through ChainFamily.fill, stack_size at a time, into one buffer that
+    the solve shared with reachable_steady_state works on in place, and
+    each stack's laws are yielded before the next stack is filled, so at
+    most one buffer of chains is held. A chain's law does not depend on
+    its stack, and a chain that fails leaves the others of its stack as
+    they are.
+    """
+    for levels, run in itertools.groupby(chains, lambda chain: chain[0].levels):
+        run = list(run)
+        size = run[0][0].stack_size
+        buf = np.empty((min(size, len(run)), levels + 1, levels + 1))
+        for first in range(0, len(run), size):
+            chunk = run[first:first + size]
             stack = buf[:len(chunk)]
-            laws.update(zip(chunk, _stationary_laws(stack, self.fill(chunk, stack))))
-        return laws
+            failed = [family.fill([k], z[None])[0] for (family, k), z in zip(chunk, stack)]
+            yield from _stationary_laws(stack, failed)
 
 
 def _upper_toeplitz(inc: np.ndarray) -> np.ndarray:

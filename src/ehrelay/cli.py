@@ -16,7 +16,7 @@ import numpy as np
 from .battery import BatteryConfig
 from .channel import SystemParams, link_stats, thresholds
 from .errors import NumericalError, ValidationError
-from .outage import direct_baseline, evaluate_point
+from .outage import direct_baseline, evaluate_point, evaluate_points
 from .simulator import simulate
 
 __all__ = ["SweepSpec", "SweepRow", "load_config", "run_sweep", "write_csv",
@@ -214,13 +214,18 @@ def load_config(path: str) -> SweepSpec:
     return _spec_from_values(overrides)
 
 
-def _run_point(spec: SweepSpec, index: int, value: float) -> SweepRow:
+def _point_inputs(spec: SweepSpec, value: float) -> tuple:
+    """(params, battery) of the grid point at `value`."""
     params, battery = spec.params, spec.battery
     if spec.sweep_kind == "energy_threshold":
         battery = replace(battery, e_t=value)
     else:  # source_power, or optimal_threshold: the best level at this source power
         params = replace(params, p_s=dbm_to_watts(value))
-    point = evaluate_point(params, battery, optimize=spec.sweep_kind == "optimal_threshold")
+    return params, battery
+
+
+def _row(spec: SweepSpec, index: int, value: float, params: SystemParams, point) -> SweepRow:
+    """The sweep row of grid point `index`, from its evaluated Point."""
     mc_outage = mc_stderr = None
     if spec.include_mc:
         result = simulate(params, point.links, point.thr, point.battery, spec.mc_blocks,
@@ -242,13 +247,29 @@ def _run_point(spec: SweepSpec, index: int, value: float) -> SweepRow:
 def run_sweep(spec: SweepSpec) -> list:
     """Evaluate every grid point of a sweep, in grid order, fail-fast.
 
-    Each point gets its own derived Monte Carlo seed (spec.seed plus the
-    point index), so a whole run is deterministic for a given spec.
+    The whole grid goes through one evaluate_points call, which shares
+    one Marcum-Q pass and stacks the chain solves across points; each
+    point is turned into its row (Monte Carlo run and baseline included)
+    as it is handed out, so the first point that fails is named with its
+    own error, as if the points ran one at a time. Each point gets its own
+    derived Monte Carlo seed (spec.seed plus the point index), so a whole
+    run is deterministic for a given spec.
     """
+    inputs, refused = [], None
+    for value in spec.grid:
+        try:
+            inputs.append(_point_inputs(spec, value))
+        except (ValidationError, NumericalError) as exc:
+            # raised in its turn, after the points before it
+            refused = exc
+            break
+    points = evaluate_points(inputs, optimize=spec.sweep_kind == "optimal_threshold")
     rows = []
     for index, value in enumerate(spec.grid):
         try:
-            rows.append(_run_point(spec, index, value))
+            if index == len(inputs):
+                raise refused
+            rows.append(_row(spec, index, value, inputs[index][0], next(points)))
         except (ValidationError, NumericalError) as exc:
             raise type(exc)(f"sweep point {value!r}: {exc}") from exc
     return rows

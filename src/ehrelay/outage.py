@@ -11,6 +11,7 @@ threshold; the joint probability of the latter event has a closed form
 in the incomplete gamma function.
 """
 
+import inspect
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .battery import (BatteryConfig, ChainFamily, SteadyState, TransitionMatrix,
-                      reachable_steady_state)
+                      harvest_grid, stacked_steady_states)
 from .channel import (LinkStats, SystemParams, Thresholds, cdf_h_sd, cdf_h_sr,
                       link_stats, thresholds)
 from .errors import NumericalError, ValidationError
@@ -34,6 +35,7 @@ __all__ = [
     "outage_probability",
     "direct_baseline",
     "evaluate_point",
+    "evaluate_points",
 ]
 
 
@@ -255,8 +257,9 @@ def _search(family: ChainFamily, params: SystemParams, links: LinkStats,
 
     Returns (best candidate k, its BatteryConfig, its SteadyState); the
     smallest candidate wins ties. Solved candidates that fail numerically are
-    skipped with one warning each, attributed to the caller of
-    evaluate_point; a dropped candidate is never solved and cannot warn.
+    skipped with one warning each, attributed to the first caller outside
+    this module (that of evaluate_point or evaluate_points); a dropped
+    candidate is never solved and cannot warn.
     If every level fails, one NumericalError names the first failed
     candidate and its cause, and nothing is warned.
     """
@@ -305,9 +308,13 @@ def _search(family: ChainFamily, params: SystemParams, links: LinkStats,
         k, exc = skipped[0]
         raise NumericalError(f"every threshold candidate failed numerically, "
                              f"the first at threshold level {k}: {exc}")
+    # the stacklevel of the first frame outside this module: the caller of
+    # evaluate_point or of evaluate_points, whichever entry ran the search
+    frame, level = inspect.currentframe(), 1
+    while frame is not None and frame.f_code.co_filename == __file__:
+        frame, level = frame.f_back, level + 1
     for k, exc in skipped:
-        # attributed to the caller of evaluate_point
-        warnings.warn(f"threshold level {k} skipped: {exc}", stacklevel=3)
+        warnings.warn(f"threshold level {k} skipped: {exc}", stacklevel=level)
     k = next(k for k, cfg in enumerate(cfgs, start=1) if cfg.eps_t_level == best[1])
     return k, cfgs[k - 1], laws[best[1]]
 
@@ -327,7 +334,8 @@ class Point:
 
 def evaluate_point(params: SystemParams, battery: BatteryConfig,
                    optimize: bool = False) -> Point:
-    """Closed-form outage at one (P_S, E_T) configuration.
+    """Closed-form outage at one (P_S, E_T) configuration: evaluate_points
+    of the one pair.
 
     Derives the link statistics and thresholds once and builds one
     ChainFamily, so the point makes one cdf_h_sr call. With optimize,
@@ -338,16 +346,97 @@ def evaluate_point(params: SystemParams, battery: BatteryConfig,
     build_transition_matrix, reachable_steady_state and
     outage_probability for the evaluated battery.
     """
-    links = link_stats(params)
-    thr = thresholds(params.rate)
-    family = ChainFamily(params, links, thr, battery.capacity, battery.levels)
-    optimal_level = pi = None
+    return next(evaluate_points([(params, battery)], optimize))
+
+
+def evaluate_points(points, optimize: bool = False):
+    """Yield evaluate_point(params, battery, optimize) for each (params,
+    battery) pair of `points`, in order, bit for bit.
+
+    Pairs with the same params, capacity and levels share one ChainFamily
+    (an e_t grid builds one), and the families of one source-relay link
+    take their CDF tables from one cdf_h_sr call over their concatenated
+    harvest grids (harvest_grid): the Marcum-Q pass stops where `a`
+    alone says, so each family's slice is what its own call gives. A
+    power grid thus makes one call. Without optimize, every point's chain
+    is solved by stacked_steady_states, ChainFamily.stack_size at a time;
+    with optimize, each point runs its own threshold search on its family.
+    Points are evaluated as they are taken, and a Point's matrix is built
+    only when it is handed out, so a grid holds one stack of chains at a
+    time.
+
+    Fail-fast as one point at a time: the first pair that fails, in its
+    input, its setup or its solve, raises what it raises alone once the
+    points before it are taken. A shared cdf_h_sr call that raises is
+    made again by each of its families alone, so its first point names
+    only its own arguments.
+    """
+    setups, pairs, failure = {}, [], None
+    try:
+        for params, battery in points:
+            key = (params, battery.capacity, battery.levels)
+            if key not in setups:
+                thr = thresholds(params.rate)
+                setups[key] = (params, link_stats(params), thr,
+                               harvest_grid(params, thr, battery.capacity, battery.levels))
+            pairs.append((key, battery))
+    except (ValidationError, NumericalError) as exc:
+        failure = exc
+    tables = _shared_tables(setups)
+    families = {}
+    for i, (key, battery) in enumerate(pairs):
+        if key not in families:
+            params, links, thr, _ = setups[key]
+            try:
+                families[key] = ChainFamily(params, links, thr, battery.capacity,
+                                            battery.levels, tables.get(key))
+            except (ValidationError, NumericalError) as exc:
+                failure, pairs = exc, pairs[:i]
+                break
+    laws = ([None] * len(pairs) if optimize else
+            stacked_steady_states([(families[key], battery.eps_t_level)
+                                   for key, battery in pairs]))
+    for (key, battery), law in zip(pairs, laws):
+        params, links, thr, _ = setups[key]
+        yield _point(families[key], params, links, thr, battery, law, optimize)
+    if failure is not None:
+        raise failure
+
+
+def _point(family: ChainFamily, params: SystemParams, links: LinkStats, thr: Thresholds,
+           battery: BatteryConfig, law, optimize: bool) -> Point:
+    """The Point of `battery` on `family`, given its chain's law (a
+    SteadyState, or the NumericalError of its solve), or with optimize that
+    of the candidate the threshold search chooses. Its matrix is built
+    here, as the point is handed out."""
+    optimal_level = None
     if optimize:
-        optimal_level, battery, pi = _search(family, params, links, thr)
+        optimal_level, battery, law = _search(family, params, links, thr)
     tm = family.matrix(battery.eps_t_level)
-    if pi is None:
-        pi = reachable_steady_state(tm)
-    breakdown = _breakdown(pi, battery, family.fail_direct, _charged_outage(
+    if isinstance(law, NumericalError):
+        raise law
+    breakdown = _breakdown(law, battery, family.fail_direct, _charged_outage(
         params, links, thr, battery, family.fail_direct, family.fail_relay_decode))
-    return Point(links=links, thr=thr, battery=battery, tm=tm, pi=pi,
+    return Point(links=links, thr=thr, battery=battery, tm=tm, pi=law,
                  breakdown=breakdown, optimal_level=optimal_level)
+
+
+def _shared_tables(setups: dict) -> dict:
+    """cdf_h_sr at every setup's harvest grid, one call per source-relay link
+    (n_antennas, rician_k, omega_sr), split back by setup key. The setups of
+    a link whose call raises are left out, to make their own calls."""
+    links = {}
+    for key, (params, stats, _, grid) in setups.items():
+        links.setdefault((params.n_antennas, params.rician_k, stats.omega_sr),
+                         []).append((key, params, stats, grid))
+    tables = {}
+    for members in links.values():
+        _, params, stats, _ = members[0]
+        grids = [grid for *_, grid in members]
+        try:
+            f = cdf_h_sr(np.concatenate(grids), params, stats.omega_sr)
+        except (ValidationError, NumericalError):
+            continue
+        ends = np.cumsum([grid.size for grid in grids])[:-1]
+        tables.update(zip((key for key, *_ in members), np.split(f, ends)))
+    return tables

@@ -1,5 +1,6 @@
 """Shared test fixtures: the reference network setup, the analytic
-oracles and the one-block protocol reference used across the suite."""
+oracles, a chain the GTH solve cannot finish and the one-block protocol
+reference used across the suite."""
 
 import math
 
@@ -51,6 +52,17 @@ def search_threshold(params, levels, capacity=5e-3):
     point = er.evaluate_point(params, reference_battery(levels, capacity=capacity),
                               optimize=True)
     return point.optimal_level, point.breakdown.p_out
+
+
+def zero_pivot_chain(n, state):
+    """A walk on 0..n-1 whose states from `state` up never move below it:
+    everything is reachable from 0, but the chain is not irreducible, and
+    GTH meets its first zero pivot at `state`."""
+    z = np.zeros((n, n))
+    for i in range(n):
+        z[i, min(i + 1, n - 1)] += 0.5
+        z[i, i - 1 if i > state else i] += 0.5
+    return z
 
 
 def reference_block(state, h_sd, h_sr, h_rd, params, thr, cfg, continuous=False):

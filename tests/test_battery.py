@@ -12,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 import ehrelay as er
-from helpers import reference_battery, reference_params, window_occupancy
+from helpers import (reference_battery, reference_params, window_occupancy,
+                     zero_pivot_chain)
 
 
 def rician_vector_cdf_scipy(x, params, omega_sr):
@@ -123,17 +124,6 @@ def random_chain(rng, n, bw, fill, stiff):
         jump = cols - rows if stiff == "up" else rows - cols
         z[jump > 0] *= 10.0 ** (-exponent * jump[jump > 0] / (n - 1))
     return z / z.sum(axis=1, keepdims=True)
-
-
-def zero_pivot_chain(n, state):
-    """A walk on 0..n-1 whose states from `state` up never move below it:
-    everything is reachable from 0, but the chain is not irreducible, and
-    GTH meets its first zero pivot at `state`."""
-    z = np.zeros((n, n))
-    for i in range(n):
-        z[i, min(i + 1, n - 1)] += 0.5
-        z[i, i - 1 if i > state else i] += 0.5
-    return z
 
 
 def power_iteration(z, tol=1e-12, max_iters=2_000_000):

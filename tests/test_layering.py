@@ -2,9 +2,10 @@
 imports another module's private (underscore) names or reads a private
 attribute of anything but `self` or `cls`, the runtime imports nothing
 outside the standard library and numpy, and the CLI takes its analytic
-numbers from `outage.evaluate_point` alone. The test suite's one-block
-protocol reference shares no code with the simulator it checks, and
-every package name the benchmark calls stays public."""
+numbers from `outage.evaluate_points` alone (`evaluate_point` is its
+batch of one). The test suite's one-block protocol reference shares no
+code with the simulator it checks, and every package name the benchmark
+calls stays public."""
 
 import ast
 import pathlib
@@ -61,20 +62,23 @@ def test_runtime_imports_only_stdlib_and_numpy(path):
     assert not foreign, f"{path.name} imports outside the stdlib and numpy: {foreign}"
 
 
-# the closed-form stages that evaluate_point chains together for the CLI
-POINT_STAGES = {"ChainFamily", "build_transition_matrix", "reachable_steady_state",
-                "outage_probability"}
+# the closed-form stages that evaluate_points chains together for the CLI
+POINT_STAGES = {"ChainFamily", "harvest_grid", "build_transition_matrix",
+                "reachable_steady_state", "stacked_steady_states", "outage_probability"}
 
 
-def test_cli_evaluates_points_only_through_evaluate_point():
+def test_cli_evaluates_points_only_through_evaluate_points():
+    # a sweep's grid goes through the batch entry, a single point through
+    # evaluate_point, its batch of one; no stage of either in between
     cli = next(p for p in SOURCES if p.name == "cli.py")
     tree = ast.parse(cli.read_text(encoding="utf-8"))
-    used = [f"line {node.lineno}: {name}" for node in ast.walk(tree)
-            for name in ([alias.name for alias in node.names]
-                         if isinstance(node, ast.ImportFrom)
-                         else [node.id] if isinstance(node, ast.Name) else [])
-            if name in POINT_STAGES]
-    assert not used, f"cli.py bypasses evaluate_point: {used}"
+    names = [(node.lineno, name) for node in ast.walk(tree)
+             for name in ([alias.name for alias in node.names]
+                          if isinstance(node, ast.ImportFrom)
+                          else [node.id] if isinstance(node, ast.Name) else [])]
+    used = [f"line {lineno}: {name}" for lineno, name in names if name in POINT_STAGES]
+    assert not used, f"cli.py bypasses evaluate_points: {used}"
+    assert "evaluate_points" in {name for _, name in names}
 
 
 def test_reference_block_shares_no_simulator_code():

@@ -228,9 +228,9 @@ class TestOptimizeThreshold:
 
     def test_skipped_candidate_warning_names_the_caller(self, monkeypatch):
         # a level that fails numerically is skipped, and the warning points
-        # at the line that called the search. The failure goes to the first
-        # level the search solves (level 5, candidate 5, alone in its stack):
-        # a level pruned unsolved cannot fail
+        # at the line that called the search, through either entry. The
+        # failure goes to the first level the search solves (level 5,
+        # candidate 5, alone in its stack): a level pruned unsolved cannot fail
         params = reference_params(p_s_dbm=24.0)
         solve, first = er.ChainFamily.steady_states, []
 
@@ -244,9 +244,13 @@ class TestOptimizeThreshold:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             er.evaluate_point(params, reference_battery(), optimize=True)
+            # the batch entry, over two points that fail alike, in turn
+            first.clear()
+            for _ in er.evaluate_points([(params, reference_battery())] * 2, optimize=True):
+                first.clear()
         assert [str(w.message) for w in caught] == [
-            "threshold level 5 skipped: synthetic zero pivot"]
-        assert caught[0].filename == __file__
+            "threshold level 5 skipped: synthetic zero pivot"] * 3
+        assert [w.filename for w in caught] == [__file__] * 3
 
     def test_every_level_failing_raises_one_error_and_warns_nothing(self, monkeypatch):
         params = reference_params(p_s_dbm=24.0)
