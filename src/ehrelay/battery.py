@@ -20,18 +20,21 @@ eliminates states from the top in blocks and touches only the lower
 band read off the chain's nonzero pattern (k_thr wide for a battery
 chain), which stays the same width as elimination proceeds. It runs on
 a stack of chains, so each Python-level step serves every chain of the
-stack: `stacked_steady_states` fills chains of any families, through
-`ChainFamily.fill`, `ChainFamily.stack_size` at a time (_GTH_STACK_BYTES
-of them) into one buffer and solves them in one pass. That one driver
-serves `ChainFamily.steady_states`, the threshold search's levels of one
-family, and `outage.evaluate_points`, the chains of a whole sweep grid,
-whose families share one Marcum-Q pass (`harvest_grid` says where each
-family evaluates the source-relay CDF); a lone chain, or one cut down
-to its reachable set, is the stack of one. Every chain of a stack keeps
-its own band in its pivot sums, its own zero-pivot flag and its own
-overflow rescaling, so its law is bit for bit the one it gets alone,
-whichever chains share its stack. `ChainFamily.mean_charge` gives the
-expected charge of one block from the empty battery, which bounds the
+stack: `stacked_steady_states` fills chains of any families, one
+`ChainFamily.fill` a chain, `ChainFamily.stack_size` at a time
+(_GTH_STACK_BYTES of them) into one buffer and solves them in one pass.
+That one driver serves `ChainFamily.steady_states`, the threshold
+search's levels of one family, and `outage.evaluate_points`, the chains
+of a whole sweep grid, whose families share one Marcum-Q pass
+(`harvest_grid` says where each family evaluates the source-relay CDF);
+a lone chain, or one cut down to its reachable set, is the stack of
+one. Every chain of a stack keeps its own band in its pivot sums, its
+own zero-pivot flag and its own overflow rescaling, so its law is bit
+for bit the one it gets alone, whichever chains share its stack. A
+matrix of its own is built only by `ChainFamily.matrix` (behind
+`build_transition_matrix` and `outage.Point.tm`), for a caller that
+reads the matrix itself. `ChainFamily.mean_charge` gives the expected
+charge of one block from the empty battery, which bounds the
 charge from every level, and `ChainFamily.climb_times` the expected
 full-harvest blocks to climb d levels, from one renewal sequence of the
 Toeplitz full-harvest rows: the threshold search bounds each level's
@@ -189,8 +192,10 @@ def harvest_grid(params: SystemParams, thr: Thresholds, capacity: float,
     whose full-block harvest, then half-block harvest, is 0..L levels, and
     the relay's decode threshold gamma2 n0 / p_s, as one (2L+3,) array.
 
-    Refuses a chain too large to assemble, by levels, before any table is
-    evaluated.
+    Refuses a chain too large to assemble, by levels, and a grid step
+    capacity / (eta p_s L) past the float range (eta p_s underflows to 0,
+    or the quotient overflows), by capacity, eta and p_s, before any table
+    is evaluated.
     """
     if not (isinstance(levels, int) and levels >= 1):
         raise ValidationError(f"levels must be an integer >= 1, got {levels!r}")
@@ -201,7 +206,12 @@ def harvest_grid(params: SystemParams, thr: Thresholds, capacity: float,
             f"analytic chain allows levels <= {_MAX_CHAIN_LEVELS} (128 MiB)")
     if not 0.0 < capacity < math.inf:
         raise ValidationError(f"capacity must be finite and > 0, got {capacity!r}")
-    unit = capacity / (params.eta * params.p_s * levels)
+    scale = params.eta * params.p_s * levels
+    unit = capacity / scale if scale > 0.0 else math.inf
+    if unit == math.inf:
+        raise ValidationError(f"capacity / (eta * p_s * levels) leaves the float range at "
+                              f"capacity={capacity!r}, eta={params.eta!r}, "
+                              f"p_s={params.p_s!r} W")
     j = np.arange(levels + 1)
     return np.concatenate((j * unit, 2.0 * j * unit, [thr.gamma2 * params.n0 / params.p_s]))
 
@@ -301,44 +311,36 @@ class ChainFamily:
         the probability space, which is a NumericalError.
         """
         n = self.levels + 1
-        z = np.empty((1, n, n))
-        failed = self.fill([k_thr], z)[0]
+        z = np.empty((n, n))
+        failed = self.fill(k_thr, z)
         if failed is not None:
             raise failed
-        return TransitionMatrix(z[0])
+        return TransitionMatrix(z)
 
-    def fill(self, k_thrs, out: np.ndarray) -> list:
-        """Write matrix(k).z of every k in k_thrs into out[i], in place.
+    def fill(self, k_thr: int, z: np.ndarray) -> NumericalError | None:
+        """Write matrix(k_thr).z into z, an (L+1, L+1) float array, in place.
 
-        out is a (len(k_thrs), L+1, L+1) float array, such as a slice of
-        a buffer reused for stack after stack. Returns one entry per
-        level: None, or the NumericalError that matrix(k) raises for a
-        row-sum failure, in which case out[i] holds that matrix before
-        its clip.
+        z may be one slot of a buffer reused for stack after stack. Returns
+        None, or the NumericalError that matrix(k_thr) raises for a row-sum
+        failure, in which case z holds that matrix before its clip.
         """
         ell = self.levels
-        for k_thr in k_thrs:
-            if not (isinstance(k_thr, (int, np.integer)) and 1 <= k_thr <= ell):
-                raise ValidationError(f"threshold level must be in 1..{ell} (an integer), "
-                                      f"got {k_thr!r}")
-        failed = []
-        for k_thr, z in zip(k_thrs, out):
-            z[:k_thr] = self._charge_full[:k_thr]
-            z[k_thr:] = self._charge_half[k_thr:]
-            z[:k_thr, ell] = self._top_full[:k_thr]
-            z[k_thr:, ell] = self._top_half[k_thr:]
-            # the diagonal k_thr below the main one
-            np.fill_diagonal(z[k_thr:], self.fail_direct)
-            worst = np.abs(z.sum(axis=1) - 1.0).max()
-            # a NaN row fails here too
-            if not worst <= 1e-9:
-                failed.append(NumericalError(
-                    f"transition rows do not partition probability space, worst row-sum "
-                    f"deviation {worst:.3e}"))
-                continue
-            np.clip(z, 0.0, 1.0, out=z)
-            failed.append(None)
-        return failed
+        if not (isinstance(k_thr, (int, np.integer)) and 1 <= k_thr <= ell):
+            raise ValidationError(f"threshold level must be in 1..{ell} (an integer), "
+                                  f"got {k_thr!r}")
+        z[:k_thr] = self._charge_full[:k_thr]
+        z[k_thr:] = self._charge_half[k_thr:]
+        z[:k_thr, ell] = self._top_full[:k_thr]
+        z[k_thr:, ell] = self._top_half[k_thr:]
+        # the diagonal k_thr below the main one
+        np.fill_diagonal(z[k_thr:], self.fail_direct)
+        worst = np.abs(z.sum(axis=1) - 1.0).max()
+        # a NaN row fails here too
+        if not worst <= 1e-9:
+            return NumericalError(f"transition rows do not partition probability space, "
+                                  f"worst row-sum deviation {worst:.3e}")
+        np.clip(z, 0.0, 1.0, out=z)
+        return None
 
     def steady_states(self, k_thrs) -> dict:
         """reachable_steady_state(matrix(k)) from the empty battery, for every k in k_thrs.
@@ -374,7 +376,7 @@ def stacked_steady_states(chains):
         for first in range(0, len(run), size):
             chunk = run[first:first + size]
             stack = buf[:len(chunk)]
-            failed = [family.fill([k], z[None])[0] for (family, k), z in zip(chunk, stack)]
+            failed = [family.fill(k, z) for (family, k), z in zip(chunk, stack)]
             yield from _stationary_laws(stack, failed)
 
 

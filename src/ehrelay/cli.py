@@ -224,14 +224,14 @@ def _point_inputs(spec: SweepSpec, value: float) -> tuple:
     return params, battery
 
 
-def _row(spec: SweepSpec, index: int, value: float, params: SystemParams, point) -> SweepRow:
+def _row(spec: SweepSpec, index: int, value: float, point) -> SweepRow:
     """The sweep row of grid point `index`, from its evaluated Point."""
     mc_outage = mc_stderr = None
     if spec.include_mc:
-        result = simulate(params, point.links, point.thr, point.battery, spec.mc_blocks,
+        result = simulate(point.params, point.links, point.thr, point.battery, spec.mc_blocks,
                           seed=spec.seed + index, warmup_blocks=spec.warmup_blocks)
         mc_outage, mc_stderr = result.outage_estimate, result.outage_stderr
-    baseline = (direct_baseline(params, point.links, point.thr)
+    baseline = (direct_baseline(point.params, point.links, point.thr)
                 if spec.include_baseline else None)
     return SweepRow(
         sweep_value=value,
@@ -250,26 +250,18 @@ def run_sweep(spec: SweepSpec) -> list:
     The whole grid goes through one evaluate_points call, which shares
     one Marcum-Q pass and stacks the chain solves across points; each
     point is turned into its row (Monte Carlo run and baseline included)
-    as it is handed out, so the first point that fails is named with its
-    own error, as if the points ran one at a time. Each point gets its own
+    as it is handed out, so the first point that fails, a refused input
+    included, is named with its own error, as if the points ran one at a
+    time. Each point gets its own
     derived Monte Carlo seed (spec.seed plus the point index), so a whole
     run is deterministic for a given spec.
     """
-    inputs, refused = [], None
-    for value in spec.grid:
-        try:
-            inputs.append(_point_inputs(spec, value))
-        except (ValidationError, NumericalError) as exc:
-            # raised in its turn, after the points before it
-            refused = exc
-            break
-    points = evaluate_points(inputs, optimize=spec.sweep_kind == "optimal_threshold")
+    points = evaluate_points((_point_inputs(spec, value) for value in spec.grid),
+                             optimize=spec.sweep_kind == "optimal_threshold")
     rows = []
     for index, value in enumerate(spec.grid):
         try:
-            if index == len(inputs):
-                raise refused
-            rows.append(_row(spec, index, value, inputs[index][0], next(points)))
+            rows.append(_row(spec, index, value, next(points)))
         except (ValidationError, NumericalError) as exc:
             raise type(exc)(f"sweep point {value!r}: {exc}") from exc
     return rows

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .battery import (BatteryConfig, ChainFamily, SteadyState, TransitionMatrix,
-                      harvest_grid, stacked_steady_states)
+                      build_transition_matrix, harvest_grid, stacked_steady_states)
 from .channel import (LinkStats, SystemParams, Thresholds, cdf_h_sd, cdf_h_sr,
                       link_stats, thresholds)
 from .errors import NumericalError, ValidationError
@@ -139,8 +139,8 @@ def mode4_joint_cdf(thr: Thresholds, snrs: MeanSnrs, n_antennas: int) -> float:
                 / (gbar_sd * gbar_rd^p * p!)
 
     with the exponentially weighted moments J_k of _exp_weighted_moments.
-    A sum that overflows, divides by an underflowed zero or is not
-    finite raises NumericalError.
+    A mean SNR that is not finite, or a sum that overflows, divides by an
+    underflowed zero or is not finite, raises NumericalError.
     """
     if not (isinstance(n_antennas, (int, np.integer)) and n_antennas >= 1):
         raise ValidationError(f"n_antennas must be >= 1, got {n_antennas!r} (integers only)")
@@ -148,6 +148,9 @@ def mode4_joint_cdf(thr: Thresholds, snrs: MeanSnrs, n_antennas: int) -> float:
     gsd, grd = snrs.gbar_sd, snrs.gbar_rd
     direct_fail = -math.expm1(-g1 / gsd)
     try:
+        if not (math.isfinite(gsd) and math.isfinite(grd)):
+            # a mean SNR that overflowed upstream
+            raise OverflowError
         moments = _exp_weighted_moments(g1, g2, gsd, grd, n_antennas)
         total = 0.0
         for p in range(n_antennas):
@@ -321,15 +324,24 @@ def _search(family: ChainFamily, params: SystemParams, links: LinkStats,
 
 @dataclass(frozen=True)
 class Point:
-    """The closed form at one configuration, stage by stage."""
+    """The closed form at one configuration, stage by stage.
 
+    A Point holds the inputs of its chain, not its matrix: reading `tm`
+    builds the matrix again, with TransitionMatrix's checks.
+    """
+
+    params: SystemParams
     links: LinkStats
     thr: Thresholds
     battery: BatteryConfig        # the battery evaluated: the chosen one with optimize
-    tm: TransitionMatrix
     pi: SteadyState               # stationary law from the empty battery
     breakdown: OutageBreakdown
     optimal_level: int | None     # the threshold search's choice; None without optimize
+
+    @property
+    def tm(self) -> TransitionMatrix:
+        """build_transition_matrix of the evaluated battery: the chain whose law is pi."""
+        return build_transition_matrix(self.params, self.links, self.thr, self.battery)
 
 
 def evaluate_point(params: SystemParams, battery: BatteryConfig,
@@ -338,7 +350,8 @@ def evaluate_point(params: SystemParams, battery: BatteryConfig,
     of the one pair.
 
     Derives the link statistics and thresholds once and builds one
-    ChainFamily, so the point makes one cdf_h_sr call. With optimize,
+    ChainFamily, so the point makes one cdf_h_sr call; reading its `tm`
+    builds the matrix and makes one more. With optimize,
     the threshold search (_search) runs on that family over
     battery.capacity and battery.levels, and the point is evaluated at
     the chosen candidate's battery instead of `battery`, with the law the
@@ -361,9 +374,8 @@ def evaluate_points(points, optimize: bool = False):
     power grid thus makes one call. Without optimize, every point's chain
     is solved by stacked_steady_states, ChainFamily.stack_size at a time;
     with optimize, each point runs its own threshold search on its family.
-    Points are evaluated as they are taken, and a Point's matrix is built
-    only when it is handed out, so a grid holds one stack of chains at a
-    time.
+    Points are evaluated as they are taken, and a grid holds one stack of
+    chains at a time.
 
     Fail-fast as one point at a time: the first pair that fails, in its
     input, its setup or its solve, raises what it raises alone once the
@@ -406,18 +418,16 @@ def evaluate_points(points, optimize: bool = False):
 def _point(family: ChainFamily, params: SystemParams, links: LinkStats, thr: Thresholds,
            battery: BatteryConfig, law, optimize: bool) -> Point:
     """The Point of `battery` on `family`, given its chain's law (a
-    SteadyState, or the NumericalError of its solve), or with optimize that
-    of the candidate the threshold search chooses. Its matrix is built
-    here, as the point is handed out."""
+    SteadyState, or the NumericalError of its fill or solve), or with
+    optimize that of the candidate the threshold search chooses."""
     optimal_level = None
     if optimize:
         optimal_level, battery, law = _search(family, params, links, thr)
-    tm = family.matrix(battery.eps_t_level)
     if isinstance(law, NumericalError):
         raise law
     breakdown = _breakdown(law, battery, family.fail_direct, _charged_outage(
         params, links, thr, battery, family.fail_direct, family.fail_relay_decode))
-    return Point(links=links, thr=thr, battery=battery, tm=tm, pi=law,
+    return Point(params=params, links=links, thr=thr, battery=battery, pi=law,
                  breakdown=breakdown, optimal_level=optimal_level)
 
 

@@ -99,7 +99,10 @@ def _poisson_cdf(k: int, mu: float) -> float:
 
 
 def poisson_mean_inverse_shift(mu: float, shift: float) -> float:
-    """E[1 / (shift + Poisson(mu))] for mu >= 0 (1 / shift at mu = 0), shift >= 1."""
+    """E[1 / (shift + Poisson(mu))] for finite mu >= 0 (1 / shift at mu = 0),
+    shift >= 1. A NaN, infinite or negative mu raises ValidationError."""
+    if not 0.0 <= mu < math.inf:
+        raise ValidationError(f"mu must be finite and >= 0, got {mu!r}")
     if mu > 1e3:
         # concentration expansion in the central moments; the omitted term
         # is O(mu^-3) relative, far below every tolerance in play here

@@ -204,7 +204,7 @@ def reference_family(capacity=5e-3, levels=20):
     pytest.param(lambda: reference_family().matrix(3.0),
                  r"threshold level must be in 1\.\.20 \(an integer\), got 3\.0",
                  id="ChainFamily-matrix-float"),
-    pytest.param(lambda: reference_family().fill([3.0], np.empty((1, 21, 21))),
+    pytest.param(lambda: reference_family().fill(3.0, np.empty((21, 21))),
                  r"threshold level must be in 1\.\.20 \(an integer\), got 3\.0",
                  id="ChainFamily-fill-float"),
     pytest.param(lambda: reference_family().steady_states([2.5]),
@@ -365,7 +365,7 @@ class TestTransitionMatrix:
         family = er.ChainFamily(params, links, thr, capacity, levels)
         k_thrs = data.draw(st.lists(st.integers(1, levels), min_size=1, max_size=6))
         stack = np.full((len(k_thrs), levels + 1, levels + 1), np.nan)
-        assert family.fill(k_thrs, stack) == [None] * len(k_thrs)
+        assert [family.fill(k, z) for k, z in zip(k_thrs, stack)] == [None] * len(k_thrs)
         assert np.all((stack >= 0.0) & (stack <= 1.0))
         assert np.abs(stack.sum(axis=2) - 1.0).max() <= 1e-12
         for k, z in zip(k_thrs, stack):
@@ -683,7 +683,7 @@ class TestSteadyStates:
         laws = family.steady_states([3, 20])
         assert str(laws[3]) == str(caught.value)
         assert all(isinstance(law, er.NumericalError) for law in laws.values())
-        failed = family.fill([3, 20], np.empty((2, 21, 21)))
+        failed = [family.fill(k, np.empty((21, 21))) for k in (3, 20)]
         assert [str(f) for f in failed] == [str(laws[3]), str(laws[20])]
 
     def test_nan_row_fails_the_row_sum_check(self):

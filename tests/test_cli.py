@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ehrelay as er
 from ehrelay import cli
@@ -379,6 +379,8 @@ class TestMainExitCodes:
         ("rate = 300\nn_antennas = 3", 2, "mode-4 closed form"),
         ("capacity = 1e-300\ne_t = 1e-301", 2, "mode-4 closed form"),
         ("capacity = 1e-300\ne_t = 1e-301\nn_antennas = 3", 2, "mode-4 closed form"),
+        # gbar_rd = 2 e_t omega_rd / n0 overflows to inf
+        ("capacity = 1e300\ne_t = 1e300\nd_rd = 1", 2, "gbar_rd=inf"),
     ])
     def test_float_range_overflow_exits_without_traceback(self, tmp_path, capsys, text,
                                                           code, named):
@@ -386,6 +388,43 @@ class TestMainExitCodes:
         assert cli.main(["analyze", "--config", cfg]) == code
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("verb", ["analyze", "optimize", "sweep"])
+    @pytest.mark.parametrize("text, named", [
+        # eta * p_s = 1e-300 * 1e-33 W underflows to 0
+        ("eta = 1e-300\np_s_dbm = -300", "capacity=0.005, eta=1e-300, p_s=1e-33 W"),
+        # 1e300 J / (1e-15 * 1e-9 W * 20) overflows
+        ("capacity = 1e300\neta = 1e-15\np_s_dbm = -60",
+         "capacity=1e+300, eta=1e-15, p_s=1e-09 W"),
+    ], ids=["underflow", "overflow"])
+    def test_harvest_step_out_of_float_range_exits_1_naming_eta_and_p_s(
+            self, tmp_path, capsys, verb, text, named):
+        # the simulator divides by no such step and still runs
+        cfg = write_cfg(tmp_path, text + "\n")
+        out = str(tmp_path / "rows.csv")
+        assert cli.main([verb, cfg, "--out", out] if verb == "sweep" else
+                        [verb, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"capacity / (eta * p_s * levels) leaves the float range at {named}" in err
+        assert "Traceback" not in err
+        assert cli.main(["simulate", "--config", cfg, "--blocks", "10000"]) == 0
+
+    def test_infinite_mean_snr_fails_a_sweep_point_and_skips_search_levels(self, tmp_path,
+                                                                            capsys):
+        cfg = write_cfg(tmp_path, "capacity = 1e300\ne_t = 1e300\nd_rd = 1\n"
+                                  "p_s_dbm_grid = 20,21\n")
+        assert cli.main(["sweep", cfg, "--out", str(tmp_path / "rows.csv")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "numerical error: sweep point 20.0: mode-4 closed form leaves the float range")
+        # from level 18 up, gbar_rd = 2 (k 5e297 J) omega_rd / 1e-9 W overflows
+        # to inf, and those 183 levels are skipped
+        cfg = write_cfg(tmp_path, "levels = 200\nd_rd = 1e-300\ncapacity = 1e300\n"
+                                  "d_sd = 1e5\n")
+        with pytest.warns(UserWarning, match="gbar_rd=inf") as skipped:
+            assert cli.main(["optimize", "--config", cfg]) == 0
+        assert "best_level  1\n" in capsys.readouterr().out
+        assert len(skipped) == 183
+        assert str(skipped[0].message).startswith("threshold level 18 skipped: mode-4")
 
     def test_search_with_every_level_failing_exits_2_on_one_line(self, tmp_path, capsys):
         # at rate = 300 the mode-4 closed form fails at every threshold
@@ -450,6 +489,66 @@ class TestMainExitCodes:
                          "--out", str(tmp_path / "y.csv")]) == 1
 
 
+DISTANCES = [1e-300, 1e-5, 1.0, 80.0, 1e5, 1e300]
+DBM = [-300.0, -60.0, 0.0, 20.0, 300.0, 3000.0]
+THRESHOLDS = [1e-301, 1e-300, 1e-3, 1.0, 1e300]
+# edge values of every numeric config key: the ends of the float range and
+# of the ranges the program accepts (N K <= 1e6, rate < 512)
+EDGE_VALUES = {
+    "p_s_dbm": DBM, "n0_dbm": DBM, "eta": [1e-300, 1e-15, 0.5, 1.0],
+    "rate": [1e-15, 1e-3, 1.0, 300.0, 511.0], "n_antennas": [1, 2, 3, 200],
+    "rician_k": [0.0, 10.0, 1425.0, 5000.0], "d_sd": DISTANCES, "d_sr": DISTANCES,
+    "d_rd": DISTANCES, "alpha": [2.0, 3.0, 5.0], "capacity": [1e-300, 1e-9, 5e-3, 1.0, 1e300],
+    "levels": [1, 2, 20, 57], "e_t": THRESHOLDS, "mc_blocks": [0, 10_000],
+    "seed": [0, 2**70], "warmup_blocks": [0, 10_000], "include_baseline": [False, True],
+    "include_mc": [False, True],
+}
+EDGE_CONFIG = st.fixed_dictionaries({}, optional={
+    **{key: st.sampled_from(edges) for key, edges in EDGE_VALUES.items()},
+    **{key: st.lists(st.sampled_from(edges), min_size=1, max_size=2, unique=True)
+       .map(lambda grid: tuple(sorted(grid)))
+       for key, edges in (("p_s_dbm_grid", DBM), ("e_t_grid", THRESHOLDS))},
+})
+VERBS = ["analyze", "optimize", "dump-chain", "simulate", "sweep", "sweep-optimized"]
+
+
+def edge_example(verb, **values):
+    return example(verb=verb, values=values)
+
+
+class TestExitCodes:
+    """Every failure maps to a documented exit code: over edge values of
+    every config key, every verb returns 0-3 and raises nothing."""
+
+    @settings(max_examples=800, deadline=None)
+    @given(verb=st.sampled_from(VERBS), values=EDGE_CONFIG)
+    @edge_example("analyze", eta=1e-300, p_s_dbm=-300.0)
+    @edge_example("optimize", eta=1e-300, p_s_dbm=-300.0)
+    @edge_example("sweep", eta=1e-300, p_s_dbm=-300.0)
+    @edge_example("simulate", eta=1e-300, p_s_dbm=-300.0)
+    @edge_example("analyze", capacity=1e300, e_t=1e300, d_rd=1.0)
+    @edge_example("sweep", capacity=1e300, e_t=1e300, d_rd=1.0, p_s_dbm_grid=(20.0, 21.0))
+    @edge_example("optimize", levels=200, d_rd=1e-300, capacity=1e300, d_sd=1e5)
+    def test_main_returns_a_documented_code(self, tmp_path_factory, verb, values):
+        tmp = tmp_path_factory.mktemp("exit")
+        cfg = tmp / "edge.cfg"
+        cfg.write_text("".join(
+            f"{key} = {','.join(map(repr, v)) if isinstance(v, tuple) else repr(v)}\n"
+            for key, v in values.items()), encoding="utf-8")
+        argv = {
+            "sweep": ["sweep", str(cfg), "--out", str(tmp / "rows.csv")],
+            "sweep-optimized": ["sweep", str(cfg), "--optimize-threshold",
+                                "--out", str(tmp / "rows.csv")],
+            "simulate": ["simulate", "--config", str(cfg), "--blocks", "10000"],
+            "dump-chain": ["dump-chain", "--config", str(cfg), "--out-z", str(tmp / "z.csv"),
+                           "--out-pi", str(tmp / "pi.csv")],
+        }.get(verb, [verb, "--config", str(cfg)])
+        with warnings.catch_warnings():
+            # skipped threshold levels warn, and a warning is no exit code
+            warnings.simplefilter("ignore")
+            assert cli.main(argv) in (0, 1, 2, 3)
+
+
 class TestPointPipeline:
     @pytest.mark.parametrize("kind, families", [("source_power", 3), ("optimal_threshold", 3),
                                                 ("energy_threshold", 1)],
@@ -502,7 +601,8 @@ def rows_one_point_at_a_time(spec):
 
 
 def assert_same_point(got, expected):
-    assert (got.links, got.thr, got.battery) == (expected.links, expected.thr, expected.battery)
+    assert ((got.params, got.links, got.thr, got.battery)
+            == (expected.params, expected.links, expected.thr, expected.battery))
     assert np.array_equal(got.tm.z, expected.tm.z)
     assert np.array_equal(got.pi.pi, expected.pi.pi)
     assert got.breakdown == expected.breakdown
@@ -579,10 +679,10 @@ class TestBatchedSweep:
         broken = er.ChainFamily(params, links, thr, battery.capacity, levels).fail_direct
         fill = er.ChainFamily.fill
 
-        def fill_with_zero_pivot(family, k_thrs, out):
-            failed = fill(family, k_thrs, out)
+        def fill_with_zero_pivot(family, k_thr, z):
+            failed = fill(family, k_thr, z)
             if family.fail_direct == broken:
-                out[:len(k_thrs)] = zero_pivot_chain(levels + 1, 7)
+                z[:] = zero_pivot_chain(levels + 1, 7)
             return failed
         monkeypatch.setattr(er.ChainFamily, "fill", fill_with_zero_pivot)
         with pytest.raises(er.NumericalError) as alone:
@@ -648,10 +748,30 @@ class TestBatchedSweep:
         assert [str(w.message) for w in swept] == [str(w.message) for w in alone]
         assert {w.filename for w in swept} == {cli.__file__}
 
+    @pytest.mark.parametrize("levels", [20, 200])
+    @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+    def test_a_sweep_builds_no_matrix(self, tmp_path, monkeypatch, levels, optimize):
+        # a Point carries the inputs of its chain, which no row reads
+        spec = cli.load_config(write_cfg(tmp_path, f"levels = {levels}\n"
+                                                   f"p_s_dbm_grid = {SPARSE_POWER_GRID}\n"))
+        if optimize:
+            spec = replace(spec, sweep_kind="optimal_threshold")
+        matrix, built = er.ChainFamily.matrix, []
+
+        def counted_matrix(family, k_thr):
+            built.append(k_thr)
+            return matrix(family, k_thr)
+        monkeypatch.setattr(er.ChainFamily, "matrix", counted_matrix)
+        assert len(cli.run_sweep(spec)) == 6
+        inputs = [point_inputs(spec, value) for value in spec.grid]
+        for point, (params, _) in zip(er.evaluate_points(inputs, optimize), inputs):
+            assert point.params == params
+        assert built == []
+
     def test_peak_traced_memory_of_a_200_level_sweep(self, tmp_path):
-        # points are streamed: the grid holds one 2 MiB stack of chains and
-        # the matrix of the point handed out, not 16 matrices (3.1 MiB
-        # measured, against 0.9 MiB one point at a time)
+        # points are streamed and carry no matrix: the grid holds one 2 MiB
+        # stack of chains at a time, not 16 chains (2.8 MiB measured,
+        # against 0.9 MiB one point at a time)
         spec = cli.load_config(write_cfg(tmp_path, f"levels = 200\nn_antennas = 2\n"
                                                    f"p_s_dbm_grid = {POWER_GRID}\n"))
         cli.run_sweep(spec)

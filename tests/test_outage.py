@@ -95,6 +95,9 @@ class TestMode4JointCdf:
         (er.thresholds(1.0), er.MeanSnrs(195.3, 5.83e-298), 1),       # vanishing relay energy
         (er.thresholds(1.0), er.MeanSnrs(195.3, 5.83e-298), 3),
         (er.Thresholds(1e-170, 1e-170**2 + 2e-170), er.MeanSnrs(1.0, 1e-200), 3),  # grd**2 == 0
+        (er.thresholds(1.0), er.MeanSnrs(195.3, math.inf), 1),       # overflowed relay SNR
+        (er.thresholds(1.0), er.MeanSnrs(195.3, math.inf), 3),
+        (er.thresholds(1.0), er.MeanSnrs(math.inf, 5.83), 2),        # overflowed direct SNR
     ])
     def test_float_range_failures_are_numerical_errors(self, thr, snrs, n):
         with pytest.raises(er.NumericalError, match="mode-4 closed form leaves the float range"):

@@ -162,6 +162,12 @@ class TestPoissonMeanInverseShift:
                 assert poisson_mean_inverse_shift(float(mu), shift) == pytest.approx(
                     expected, rel=1e-11)
 
+    @pytest.mark.parametrize("mu, shown", [(math.nan, "nan"), (math.inf, "inf"),
+                                           (-1.0, "-1.0")])
+    def test_refusal_names_mu(self, mu, shown):
+        with pytest.raises(ValidationError, match=f"mu must be finite and >= 0, got {shown}"):
+            poisson_mean_inverse_shift(mu, 1.0)
+
 
 class TestLowerIncompleteGamma:
     def test_empty_interval(self):
