@@ -23,7 +23,7 @@ a stack of chains, so each Python-level step serves every chain of the
 stack: `stacked_steady_states` fills chains of any families, one
 `ChainFamily.fill` a chain, `ChainFamily.stack_size` at a time
 (_GTH_STACK_BYTES of them) into one buffer and solves them in one pass.
-That one driver serves `ChainFamily.steady_states`, the threshold
+That one driver gives every law of a family's chain: the threshold
 search's levels of one family, and `outage.evaluate_points`, the chains
 of a whole sweep grid, whose families share one Marcum-Q pass
 (`harvest_grid` says where each family evaluates the source-relay CDF);
@@ -31,15 +31,15 @@ a lone chain, or one cut down to its reachable set, is the stack of
 one. Every chain of a stack keeps its own band in its pivot sums, its
 own zero-pivot flag and its own overflow rescaling, so its law is bit
 for bit the one it gets alone, whichever chains share its stack. A
-matrix of its own is built only by `ChainFamily.matrix` (behind
-`build_transition_matrix` and `outage.Point.tm`), for a caller that
-reads the matrix itself. `ChainFamily.mean_charge` gives the expected
-charge of one block from the empty battery, which bounds the
-charge from every level, and `ChainFamily.climb_times` the expected
-full-harvest blocks to climb d levels, from one renewal sequence of the
-Toeplitz full-harvest rows: the threshold search bounds each level's
-outage with both before solving any chain (the drift bound and, above
-L/2, the renewal-reward bound on the time the battery spends charged).
+matrix of its own is built only by `build_transition_matrix` (behind
+`outage.Point.tm`), for a caller that reads the matrix itself.
+`ChainFamily.mean_charge` gives the expected charge of one block from
+the empty battery, which bounds the charge from every level, and
+`ChainFamily.climb_times` the expected full-harvest blocks to climb d
+levels, from one renewal sequence of the Toeplitz full-harvest rows:
+the threshold search bounds each level's outage with both before
+solving any chain (the drift bound and, above L/2, the renewal-reward
+bound on the time the battery spends charged).
 `reachable_steady_state` solves the closed class reachable from the
 empty battery; `steady_state` first checks that the whole chain is
 irreducible and refuses it otherwise.
@@ -178,8 +178,10 @@ def discretize_harvest(e_h, cfg: BatteryConfig):
     bad = ~(e >= 0.0)
     if bad.any():
         raise ValidationError(f"harvested energy must be >= 0, got {float(e[bad][0])!r}")
-    # clip before the integer cast, so a huge ratio cannot wrap around
-    level = np.divide(e, cfg.step, out=np.empty(e.shape))
+    # clip before the integer cast, so a huge ratio cannot wrap around; a
+    # ratio past the float range is meant: inf clips to the top level
+    with np.errstate(over="ignore"):
+        level = np.divide(e, cfg.step, out=np.empty(e.shape))
     np.ceil(level, out=level)
     level -= 1.0
     np.clip(level, 0, cfg.levels, out=level)
@@ -213,17 +215,19 @@ def harvest_grid(params: SystemParams, thr: Thresholds, capacity: float,
                               f"capacity={capacity!r}, eta={params.eta!r}, "
                               f"p_s={params.p_s!r} W")
     j = np.arange(levels + 1)
-    return np.concatenate((j * unit, 2.0 * j * unit, [thr.gamma2 * params.n0 / params.p_s]))
+    # gains past the float range are meant: the source-relay CDF is 1 at inf
+    with np.errstate(over="ignore"):
+        return np.concatenate((j * unit, 2.0 * j * unit, [thr.gamma2 * params.n0 / params.p_s]))
 
 
 class ChainFamily:
-    """Battery transition matrices of one link setup for every threshold level.
+    """Battery chains of one link setup for every threshold level.
 
     The source-relay CDF on the level grid (full-block and half-block
     harvest) and the direct-link failure probability do not depend on
     the threshold, so they are evaluated once here and shared by every
-    `matrix(k)`, as are the upper Toeplitz views of their increments
-    that `matrix(k)` copies rows from. Both CDF tables come from one
+    `fill(k, z)`, as are the upper Toeplitz views of their increments
+    that `fill` copies rows from. Both CDF tables come from one
     array `cdf_h_sr` call at `harvest_grid`, which also gives
     `fail_relay_decode`, the source-relay CDF at the relay's decode
     threshold gamma2 n0 / p_s: the chain does not use it, but the outage
@@ -231,7 +235,8 @@ class ChainFamily:
     result where it was shared with other families: `evaluate_points`
     makes one call over the grids of a whole sweep, which gives every
     family the tables of its own call, bit for bit (see marcum_q).
-    `stacked_steady_states` solves the chains of many families together.
+    `stacked_steady_states` solves the chains of many families together,
+    and `build_transition_matrix` turns one chain into a TransitionMatrix.
     """
 
     def __init__(self, params: SystemParams, links: LinkStats, thr: Thresholds,
@@ -295,8 +300,9 @@ class ChainFamily:
         np.cumsum(u, out=climb[1:])
         return climb
 
-    def matrix(self, k_thr: int) -> TransitionMatrix:
-        """Transition matrix when a cooperative block drains k_thr levels.
+    def fill(self, k_thr: int, z: np.ndarray) -> NumericalError | None:
+        """Write the transition matrix when a cooperative block drains k_thr
+        levels into z, an (L+1, L+1) float array, in place.
 
         Charging entries depend on the current level only through the
         gap to the target level, so rows [0, k_thr) are copied from the
@@ -308,21 +314,9 @@ class ChainFamily:
 
         Rows are checked, never renormalized: a row deviating from 1 by
         more than 1e-9 means the transition cases no longer partition
-        the probability space, which is a NumericalError.
-        """
-        n = self.levels + 1
-        z = np.empty((n, n))
-        failed = self.fill(k_thr, z)
-        if failed is not None:
-            raise failed
-        return TransitionMatrix(z)
-
-    def fill(self, k_thr: int, z: np.ndarray) -> NumericalError | None:
-        """Write matrix(k_thr).z into z, an (L+1, L+1) float array, in place.
-
-        z may be one slot of a buffer reused for stack after stack. Returns
-        None, or the NumericalError that matrix(k_thr) raises for a row-sum
-        failure, in which case z holds that matrix before its clip.
+        the probability space. That is returned as a NumericalError, with
+        z holding the matrix before its clip; otherwise the result is
+        None. z may be one slot of a buffer reused for stack after stack.
         """
         ell = self.levels
         if not (isinstance(k_thr, (int, np.integer)) and 1 <= k_thr <= ell):
@@ -342,24 +336,12 @@ class ChainFamily:
         np.clip(z, 0.0, 1.0, out=z)
         return None
 
-    def steady_states(self, k_thrs) -> dict:
-        """reachable_steady_state(matrix(k)) from the empty battery, for every k in k_thrs.
-
-        Maps each level to its SteadyState, or to the NumericalError that
-        building or solving its chain raises, equal to what matrix(k) and
-        reachable_steady_state give. The levels are taken in increasing
-        order, so the chains of a stack have nearly the same band, and
-        solved by stacked_steady_states, stack_size at a time (six chains
-        at L = 200).
-        """
-        k_thrs = sorted(set(k_thrs))
-        return dict(zip(k_thrs, stacked_steady_states([(self, k) for k in k_thrs])))
-
 
 def stacked_steady_states(chains):
-    """Yield reachable_steady_state(family.matrix(k)) for each (family, k) of
-    `chains`, in order: a SteadyState, or the NumericalError that building
-    or solving that chain raises.
+    """Yield the law from the empty battery of the chain family.fill(k, .)
+    writes, for each (family, k) of `chains`, in order: a SteadyState, or
+    the NumericalError of that chain's fill, or of its solve, equal to
+    what build_transition_matrix and reachable_steady_state raise for it.
 
     Runs of chains of one size, from one family or many, are filled
     through ChainFamily.fill, stack_size at a time, into one buffer that
@@ -393,8 +375,13 @@ def _upper_toeplitz(inc: np.ndarray) -> np.ndarray:
 
 def build_transition_matrix(params: SystemParams, links: LinkStats, thr: Thresholds,
                             cfg: BatteryConfig) -> TransitionMatrix:
-    """Battery transition matrix for one configuration (see ChainFamily.matrix)."""
-    return ChainFamily(params, links, thr, cfg.capacity, cfg.levels).matrix(cfg.eps_t_level)
+    """Battery transition matrix for one configuration: ChainFamily.fill of its
+    threshold level, whose NumericalError is raised."""
+    z = np.empty((cfg.levels + 1, cfg.levels + 1))
+    failed = ChainFamily(params, links, thr, cfg.capacity, cfg.levels).fill(cfg.eps_t_level, z)
+    if failed is not None:
+        raise failed
+    return TransitionMatrix(z)
 
 
 def steady_state(tm: TransitionMatrix) -> SteadyState:

@@ -188,7 +188,9 @@ def cdf_h_sr(x, params: SystemParams, omega_sr: float):
     n = params.n_antennas
     k = params.rician_k
     a = math.sqrt(2.0 * n * k)
-    b = np.sqrt(2.0 * (k + 1.0) * xs / omega_sr)
+    # b past the float range is meant: Q_N(a, inf) = 0
+    with np.errstate(over="ignore"):
+        b = np.sqrt(2.0 * (k + 1.0) * xs / omega_sr)
     return 1.0 - marcum_q(n, a, b)
 
 

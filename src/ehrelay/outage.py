@@ -252,7 +252,9 @@ def _search(family: ChainFamily, params: SystemParams, links: LinkStats,
     LB - m stays <= p_out, a float, once it is rounded itself. Levels are
     solved in (LB - m, j) order: first the lowest alone, whose outage most
     often prunes every other level, then the survivors one GTH stack at a
-    time. After each stack, level j is dropped unsolved once
+    time, each stack's levels in increasing order through
+    stacked_steady_states, the driver that solves a sweep's chains too.
+    After each stack, level j is dropped unsolved once
     (LB - m, j) > (best, j_best), the best outage so far and its level:
     it cannot win, since the smallest level wins ties. A chain's law does
     not depend on its stack, so the result is the exhaustive search's,
@@ -293,15 +295,15 @@ def _search(family: ChainFamily, params: SystemParams, links: LinkStats,
     laws, outage = {}, {}
     size = 1
     while queue:
-        stack, queue = queue[:size], queue[size:]
+        # levels in increasing order, so the chains of a stack have nearly one band
+        stack, queue = sorted(queue[:size]), queue[size:]
         size = family.stack_size
-        solved = family.steady_states(stack)
-        for j in stack:
-            if isinstance(solved[j], NumericalError):
-                failed[j] = solved[j]
+        for j, law in zip(stack, stacked_steady_states([(family, j) for j in stack])):
+            if isinstance(law, NumericalError):
+                failed[j] = law
                 continue
-            laws[j] = solved[j]
-            outage[j] = _breakdown(laws[j], by_level[j], fd, charged[j]).p_out
+            laws[j] = law
+            outage[j] = _breakdown(law, by_level[j], fd, charged[j]).p_out
         if outage:
             best = min((p_out, j) for j, p_out in outage.items())
             queue = [j for j in queue if (bound[j], j) <= best]
@@ -340,7 +342,7 @@ class Point:
 
     @property
     def tm(self) -> TransitionMatrix:
-        """build_transition_matrix of the evaluated battery: the chain whose law is pi."""
+        """The chain whose law is pi, filled again by build_transition_matrix."""
         return build_transition_matrix(self.params, self.links, self.thr, self.battery)
 
 

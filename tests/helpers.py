@@ -37,6 +37,17 @@ def reference_battery(levels=20, e_t=1e-3, capacity=5e-3):
     return er.BatteryConfig(capacity=capacity, levels=levels, e_t=e_t)
 
 
+def lone_chain(family, k_thr):
+    """The TransitionMatrix of one threshold level of `family`, as
+    build_transition_matrix makes it: ChainFamily.fill into a fresh array,
+    whose NumericalError is raised."""
+    z = np.empty((family.levels + 1, family.levels + 1))
+    failed = family.fill(k_thr, z)
+    if failed is not None:
+        raise failed
+    return er.TransitionMatrix(z)
+
+
 def solve_outage(params, battery):
     """Analytic pipeline: chain -> stationary state -> outage breakdown."""
     links = er.link_stats(params)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 import ehrelay as er
-from helpers import (reference_battery, reference_params, window_occupancy,
+from helpers import (lone_chain, reference_battery, reference_params, window_occupancy,
                      zero_pivot_chain)
 
 
@@ -201,15 +201,12 @@ def reference_family(capacity=5e-3, levels=20):
                  id="ChainFamily-levels"),
     pytest.param(lambda: reference_family(capacity=0.0), "capacity must be finite and > 0",
                  id="ChainFamily-capacity"),
-    pytest.param(lambda: reference_family().matrix(3.0),
-                 r"threshold level must be in 1\.\.20 \(an integer\), got 3\.0",
-                 id="ChainFamily-matrix-float"),
     pytest.param(lambda: reference_family().fill(3.0, np.empty((21, 21))),
                  r"threshold level must be in 1\.\.20 \(an integer\), got 3\.0",
                  id="ChainFamily-fill-float"),
-    pytest.param(lambda: reference_family().steady_states([2.5]),
+    pytest.param(lambda: list(er.battery.stacked_steady_states([(reference_family(), 2.5)])),
                  r"threshold level must be in 1\.\.20 \(an integer\), got 2\.5",
-                 id="ChainFamily-steady_states-float"),
+                 id="stacked_steady_states-float"),
 ])
 def test_refusal_names_the_field(build, match):
     with pytest.raises(er.ValidationError, match=match):
@@ -331,7 +328,7 @@ class TestTransitionMatrix:
             thr = er.thresholds(params.rate)
             family = er.ChainFamily(params, links, thr, 5e-3, levels)
             for k in range(1, levels + 1):
-                assert np.array_equal(family.matrix(k).z, per_row_matrix(family, k))
+                assert np.array_equal(lone_chain(family, k).z, per_row_matrix(family, k))
 
     @pytest.mark.parametrize("levels", [1, 20, 200])
     @pytest.mark.parametrize("n_antennas", [1, 3])
@@ -358,7 +355,7 @@ class TestTransitionMatrix:
     def test_stacked_fill_row_stochastic(self, p_s_dbm, n_antennas, rician_k, eta, rate,
                                          d_sr, alpha, capacity, levels, data):
         # across the parameter box every matrix of a stacked fill is
-        # row-stochastic and equal, bit for bit, to matrix(k)
+        # row-stochastic and equal, bit for bit, to a lone fill of its level
         params = reference_params(p_s_dbm=p_s_dbm, n_antennas=n_antennas, rician_k=rician_k,
                                   eta=eta, rate=rate, d_sr=d_sr, alpha=alpha)
         links, thr = er.link_stats(params), er.thresholds(params.rate)
@@ -369,7 +366,7 @@ class TestTransitionMatrix:
         assert np.all((stack >= 0.0) & (stack <= 1.0))
         assert np.abs(stack.sum(axis=2) - 1.0).max() <= 1e-12
         for k, z in zip(k_thrs, stack):
-            assert np.array_equal(z, family.matrix(k).z)
+            assert np.array_equal(z, lone_chain(family, k).z)
 
     def test_raising_threshold_keeps_stochasticity(self):
         params = reference_params(p_s_dbm=24.0)
@@ -381,7 +378,7 @@ class TestTransitionMatrix:
             assert cfg.eps_t_level == k
             z = er.build_transition_matrix(params, links, thr, cfg).z
             assert np.abs(z.sum(axis=1) - 1.0).max() < 1e-9
-            assert np.array_equal(family.matrix(k).z, z)
+            assert np.array_equal(lone_chain(family, k).z, z)
 
     def test_oversized_chain_refused_before_cdf_tables(self, monkeypatch):
         def never(*args, **kwargs):
@@ -603,7 +600,7 @@ class TestGthSolve:
 
 
 class TestSteadyStates:
-    """The threshold search's stacked solves against one chain at a time."""
+    """The stacked solves of stacked_steady_states against one chain at a time."""
 
     @pytest.mark.parametrize("levels, points", [
         (20, [(p, n) for p in (15.0, 18.0, 21.0, 24.0, 27.0, 30.0) for n in (1, 2, 3)]),
@@ -616,11 +613,13 @@ class TestSteadyStates:
             params = reference_params(p_s_dbm=p_dbm, n_antennas=n_antennas)
             links, thr = er.link_stats(params), er.thresholds(params.rate)
             family = er.ChainFamily(params, links, thr, 5e-3, levels)
-            laws = family.steady_states(range(levels, 0, -1))
+            k_thrs = range(1, levels + 1)
+            laws = dict(zip(k_thrs, er.battery.stacked_steady_states(
+                [(family, k) for k in k_thrs])))
             assert sorted(laws) == list(range(1, levels + 1))
             for k, law in laws.items():
                 try:
-                    alone = er.reachable_steady_state(family.matrix(k))
+                    alone = er.reachable_steady_state(lone_chain(family, k))
                 except er.NumericalError as exc:
                     assert isinstance(law, er.NumericalError) and str(law) == str(exc)
                 else:
@@ -679,30 +678,32 @@ class TestSteadyStates:
         # failure probability no longer matches the tables' share
         family.fail_direct *= 0.5
         with pytest.raises(er.NumericalError, match="do not partition") as caught:
-            family.matrix(3)
-        laws = family.steady_states([3, 20])
+            lone_chain(family, 3)
+        laws = dict(zip((3, 20), er.battery.stacked_steady_states([(family, 3), (family, 20)])))
         assert str(laws[3]) == str(caught.value)
         assert all(isinstance(law, er.NumericalError) for law in laws.values())
         failed = [family.fill(k, np.empty((21, 21))) for k in (3, 20)]
         assert [str(f) for f in failed] == [str(laws[3]), str(laws[20])]
 
-    def test_nan_row_fails_the_row_sum_check(self):
+    def test_nan_row_fails_the_row_sum_check(self, monkeypatch):
         params = reference_params(p_s_dbm=25.0)
         links, thr = er.link_stats(params), er.thresholds(params.rate)
+        # a NaN direct-link failure probability, from the family's own table
+        monkeypatch.setattr(er.battery, "cdf_h_sd", lambda x, omega_sd: math.nan)
         family = er.ChainFamily(params, links, thr, 5e-3, 20)
-        family.fail_direct = math.nan
         with pytest.raises(er.NumericalError, match="row-sum deviation nan"):
-            family.matrix(3)
-        assert str(family.steady_states([3])[3]).endswith("row-sum deviation nan")
+            er.build_transition_matrix(params, links, thr, er.BatteryConfig(5e-3, 20, 7.5e-4))
+        law, = er.battery.stacked_steady_states([(family, 3)])
+        assert str(law).endswith("row-sum deviation nan")
 
     def test_bad_level_refused(self):
         params = reference_params()
         family = er.ChainFamily(params, er.link_stats(params), er.thresholds(params.rate),
                                 5e-3, 20)
         with pytest.raises(er.ValidationError, match=r"threshold level must be in 1\.\.20"):
-            family.steady_states([0, 5])
+            list(er.battery.stacked_steady_states([(family, 0), (family, 5)]))
         # numpy integers are levels too
-        assert np.array_equal(family.matrix(np.int64(3)).z, family.matrix(3).z)
+        assert np.array_equal(lone_chain(family, np.int64(3)).z, lone_chain(family, 3).z)
 
 
 class TestWindowOccupancy:

@@ -38,6 +38,19 @@ def load_text(tmp_path, text):
     return cli.load_config(write_cfg(tmp_path, text))
 
 
+def verb_argv(verb, cfg, tmp):
+    """cli.main arguments running `verb` on config file `cfg`, with its
+    outputs in directory `tmp`; "sweep-optimized" is sweep --optimize-threshold."""
+    return {
+        "sweep": ["sweep", cfg, "--out", str(tmp / "rows.csv")],
+        "sweep-optimized": ["sweep", cfg, "--optimize-threshold",
+                            "--out", str(tmp / "rows.csv")],
+        "simulate": ["simulate", "--config", cfg, "--blocks", "10000"],
+        "dump-chain": ["dump-chain", "--config", cfg, "--out-z", str(tmp / "z.csv"),
+                       "--out-pi", str(tmp / "pi.csv")],
+    }.get(verb, [verb, "--config", cfg])
+
+
 @pytest.mark.parametrize("build, match", [
     pytest.param(lambda tmp: replace(load_text(tmp, ""), sweep_kind="power"),
                  "sweep_kind must be one of", id="SweepSpec-kind"),
@@ -409,6 +422,27 @@ class TestMainExitCodes:
         assert "Traceback" not in err
         assert cli.main(["simulate", "--config", cfg, "--blocks", "10000"]) == 0
 
+    @pytest.mark.parametrize("verb, text, code", [
+        # e_h / step in discretize_harvest overflows: the harvest is the top level
+        ("simulate", "p_s_dbm = 3000\ncapacity = 1e-300\ne_t = 1e-300", 0),
+        # j * unit in harvest_grid overflows, and 2 (K+1) x in cdf_h_sr with it:
+        # the CDF is 1 there
+        ("analyze", "n0_dbm = 300\ncapacity = 1e300\ne_t = 1.0\np_s_dbm = -60", 0),
+        ("dump-chain", "n0_dbm = 300\ncapacity = 1e300\ne_t = 1.0\np_s_dbm = -60", 0),
+        ("optimize", "n0_dbm = 300\ncapacity = 1e300\np_s_dbm = -60", 0),
+        # 2 (K+1) x / omega_sr in cdf_h_sr overflows at omega_sr = 1 / (1 + 10^5)
+        ("sweep", "eta = 1e-15\nrate = 511\nrician_k = 5000\nd_sd = 1\nalpha = 5\n"
+                  "p_s_dbm_grid = 20.0,3000.0", 2),
+    ], ids=["discretize_harvest", "harvest_grid-analyze", "harvest_grid-dump-chain",
+            "harvest_grid-optimize", "cdf_h_sr-divide"])
+    def test_gain_past_the_float_range_warns_nothing(self, tmp_path, capsys, verb, text,
+                                                     code):
+        # an infinite gain or harvest is the intended value, and numpy's
+        # overflow warning about it an error under the suite's filter
+        cfg = write_cfg(tmp_path, text + "\n")
+        assert cli.main(verb_argv(verb, cfg, tmp_path)) == code
+        assert "Warning" not in capsys.readouterr().err
+
     def test_infinite_mean_snr_fails_a_sweep_point_and_skips_search_levels(self, tmp_path,
                                                                             capsys):
         cfg = write_cfg(tmp_path, "capacity = 1e300\ne_t = 1e300\nd_rd = 1\n"
@@ -529,23 +563,24 @@ class TestExitCodes:
     @edge_example("analyze", capacity=1e300, e_t=1e300, d_rd=1.0)
     @edge_example("sweep", capacity=1e300, e_t=1e300, d_rd=1.0, p_s_dbm_grid=(20.0, 21.0))
     @edge_example("optimize", levels=200, d_rd=1e-300, capacity=1e300, d_sd=1e5)
+    # gains and harvests past the float range, which numpy warns about
+    @edge_example("simulate", p_s_dbm=3000.0, capacity=1e-300, e_t=1e-300)
+    @edge_example("analyze", n0_dbm=300.0, capacity=1e300, e_t=1.0, p_s_dbm=-60.0)
+    @edge_example("dump-chain", n0_dbm=300.0, capacity=1e300, e_t=1.0, p_s_dbm=-60.0)
+    @edge_example("optimize", n0_dbm=300.0, capacity=1e300, p_s_dbm=-60.0)
+    @edge_example("sweep", eta=1e-15, rate=511.0, rician_k=5000.0, d_sd=1.0, alpha=5.0,
+                  p_s_dbm_grid=(20.0, 3000.0))
     def test_main_returns_a_documented_code(self, tmp_path_factory, verb, values):
         tmp = tmp_path_factory.mktemp("exit")
         cfg = tmp / "edge.cfg"
         cfg.write_text("".join(
             f"{key} = {','.join(map(repr, v)) if isinstance(v, tuple) else repr(v)}\n"
             for key, v in values.items()), encoding="utf-8")
-        argv = {
-            "sweep": ["sweep", str(cfg), "--out", str(tmp / "rows.csv")],
-            "sweep-optimized": ["sweep", str(cfg), "--optimize-threshold",
-                                "--out", str(tmp / "rows.csv")],
-            "simulate": ["simulate", "--config", str(cfg), "--blocks", "10000"],
-            "dump-chain": ["dump-chain", "--config", str(cfg), "--out-z", str(tmp / "z.csv"),
-                           "--out-pi", str(tmp / "pi.csv")],
-        }.get(verb, [verb, "--config", str(cfg)])
+        argv = verb_argv(verb, str(cfg), tmp)
         with warnings.catch_warnings():
-            # skipped threshold levels warn, and a warning is no exit code
-            warnings.simplefilter("ignore")
+            # skipped threshold levels warn, and that warning is no exit code;
+            # any other warning stays an error
+            warnings.filterwarnings("ignore", r"threshold level \d+ skipped", UserWarning)
             assert cli.main(argv) in (0, 1, 2, 3)
 
 
@@ -726,15 +761,15 @@ class TestBatchedSweep:
     def test_skip_warnings_in_grid_order(self, tmp_path, monkeypatch):
         # the first level each search solves fails; an optimized sweep warns
         # for each point in turn, with the text of the point alone
-        solve = er.ChainFamily.steady_states
+        fill = er.ChainFamily.fill
 
-        def failing_first_level(family, k_thrs):
-            laws = solve(family, k_thrs)
+        def failing_first_level(family, k_thr, z):
+            failed = fill(family, k_thr, z)
             if not hasattr(family, "failed_once"):
                 family.failed_once = True
-                laws[k_thrs[0]] = er.NumericalError("synthetic zero pivot")
-            return laws
-        monkeypatch.setattr(er.ChainFamily, "steady_states", failing_first_level)
+                return er.NumericalError("synthetic zero pivot")
+            return failed
+        monkeypatch.setattr(er.ChainFamily, "fill", failing_first_level)
         spec = replace(cli.load_config(write_cfg(tmp_path, "p_s_dbm_grid = 18,24,30\n")),
                        sweep_kind="optimal_threshold")
         with warnings.catch_warnings(record=True) as alone:
@@ -756,12 +791,12 @@ class TestBatchedSweep:
                                                    f"p_s_dbm_grid = {SPARSE_POWER_GRID}\n"))
         if optimize:
             spec = replace(spec, sweep_kind="optimal_threshold")
-        matrix, built = er.ChainFamily.matrix, []
+        check, built = er.TransitionMatrix.__post_init__, []
 
-        def counted_matrix(family, k_thr):
-            built.append(k_thr)
-            return matrix(family, k_thr)
-        monkeypatch.setattr(er.ChainFamily, "matrix", counted_matrix)
+        def counted_matrix(tm):
+            built.append(tm.z.shape)
+            check(tm)
+        monkeypatch.setattr(er.TransitionMatrix, "__post_init__", counted_matrix)
         assert len(cli.run_sweep(spec)) == 6
         inputs = [point_inputs(spec, value) for value in spec.grid]
         for point, (params, _) in zip(er.evaluate_points(inputs, optimize), inputs):

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 import ehrelay as er
-from helpers import reference_battery, reference_params, search_threshold, solve_outage
+from helpers import (lone_chain, reference_battery, reference_params, search_threshold,
+                     solve_outage)
 
 # dblquad of the joint exponential x Erlang density over the corner
 # {u < gamma1, u + v < gamma2}, computed before the closed form was coded
@@ -235,15 +236,15 @@ class TestOptimizeThreshold:
         # failure goes to the first level the search solves (level 5,
         # candidate 5, alone in its stack): a level pruned unsolved cannot fail
         params = reference_params(p_s_dbm=24.0)
-        solve, first = er.ChainFamily.steady_states, []
+        fill, first = er.ChainFamily.fill, []
 
-        def failing_first_level(family, k_thrs):
-            laws = solve(family, k_thrs)
+        def failing_first_level(family, k_thr, z):
+            failed = fill(family, k_thr, z)
             if not first:
-                first.append(k_thrs[0])
-                laws[k_thrs[0]] = er.NumericalError("synthetic zero pivot")
-            return laws
-        monkeypatch.setattr(er.ChainFamily, "steady_states", failing_first_level)
+                first.append(k_thr)
+                return er.NumericalError("synthetic zero pivot")
+            return failed
+        monkeypatch.setattr(er.ChainFamily, "fill", failing_first_level)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             er.evaluate_point(params, reference_battery(), optimize=True)
@@ -257,12 +258,12 @@ class TestOptimizeThreshold:
 
     def test_every_level_failing_raises_one_error_and_warns_nothing(self, monkeypatch):
         params = reference_params(p_s_dbm=24.0)
-        solve = er.ChainFamily.steady_states
+        fill = er.ChainFamily.fill
 
-        def failing(family, k_thrs):
-            return {k: er.NumericalError(f"synthetic failure at {k}")
-                    for k in solve(family, k_thrs)}
-        monkeypatch.setattr(er.ChainFamily, "steady_states", failing)
+        def failing(family, k_thr, z):
+            fill(family, k_thr, z)
+            return er.NumericalError(f"synthetic failure at {k_thr}")
+        monkeypatch.setattr(er.ChainFamily, "fill", failing)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(er.NumericalError) as raised:
@@ -352,7 +353,7 @@ class TestPrunedSearch:
             assert gain_half == pytest.approx((1.0 - family.fail_direct)
                                               * np.sum(1.0 - family.f_half[1:]), rel=1e-12)
             # row 0 of any chain is the full-harvest row
-            z0 = family.matrix(levels).z[0]
+            z0 = lone_chain(family, levels).z[0]
             assert gain_full == pytest.approx(np.arange(levels + 1) @ z0, rel=1e-12)
 
     def test_stack_size_holds_the_stack_bytes(self):
@@ -367,12 +368,12 @@ class TestPrunedSearch:
     def test_climb_times_are_hitting_times(self, levels, capacity):
         # T[d] is the expected time for the empty battery under full harvest
         # to reach level d or above: h[0] of (I - Q_d) h = 1, with Q_d the
-        # full-harvest rows (rows [0, L) of matrix(L)) over the states below d
+        # full-harvest rows (rows [0, L) of level L's chain) over the states below d
         params = reference_params(p_s_dbm=24.0, n_antennas=2)
         links, thr = er.link_stats(params), er.thresholds(params.rate)
         family = er.ChainFamily(params, links, thr, capacity, levels)
         climb = family.climb_times()
-        z = family.matrix(levels).z
+        z = lone_chain(family, levels).z
         hits = [np.linalg.solve(np.eye(d) - z[:d, :d], np.ones(d))[0]
                 for d in range(1, levels + 1)]
         assert climb[0] == 0.0
@@ -383,7 +384,7 @@ class TestPrunedSearch:
         params = reference_params(p_s_dbm=18.0)
         links, thr = er.link_stats(params), er.thresholds(params.rate)
         family = er.ChainFamily(params, links, thr, 5e-3, 20)
-        assert family.matrix(20).z[0, 0] == 1.0
+        assert lone_chain(family, 20).z[0, 0] == 1.0
         climb = family.climb_times()
         assert climb[0] == 0.0
         assert np.all(climb[1:] == math.inf)
@@ -402,7 +403,8 @@ class TestPrunedSearch:
         links, thr = er.link_stats(params), er.thresholds(params.rate)
         family = er.ChainFamily(params, links, thr, 5e-3, levels)
         climb = family.climb_times()
-        laws = family.steady_states(range(1, levels + 1))
+        laws = dict(zip(range(1, levels + 1), er.battery.stacked_steady_states(
+            [(family, j) for j in range(1, levels + 1)])))
         outages = []
         for k in range(1, levels + 1):
             cfg = reference_battery(levels, min(k * 5e-3 / levels, 5e-3))
@@ -429,6 +431,48 @@ class TestPrunedSearch:
             level, outage = search_threshold(params, 200)
         assert (level, outage, [str(w.message) for w in caught]) == plain_search(params, 200)
 
+    @pytest.mark.parametrize("failing", [114, 116])
+    def test_failed_level_inside_a_full_stack(self, monkeypatch, failing):
+        # at L=200, 26 dBm, N=2 the search solves level 100 alone, then
+        # levels 113-119 but 115 in one stack of six: 114 wins, and 116
+        # holds two candidates. That level's fill fails inside the stack
+        params = reference_params(p_s_dbm=26.0, n_antennas=2)
+        fill, stacked, stacks = er.ChainFamily.fill, er.outage.stacked_steady_states, []
+
+        def failing_fill(family, k_thr, z):
+            failed = fill(family, k_thr, z)
+            if k_thr != failing:
+                return failed
+            z[:] = math.nan
+            return er.NumericalError("synthetic fill failure")
+
+        def recorded(chains):
+            laws = list(stacked(chains))
+            stacks.append(list(zip(chains, laws)))
+            return laws
+        monkeypatch.setattr(er.ChainFamily, "fill", failing_fill)
+        monkeypatch.setattr(er.outage, "stacked_steady_states", recorded)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            level, outage = search_threshold(params, 200)
+        stack, = [stack for stack in stacks if any(k == failing for (_, k), _ in stack)]
+        assert len(stack) == 6
+        for (family, k), law in stack:
+            if k == failing:
+                assert str(law) == "synthetic fill failure"
+            else:
+                assert np.array_equal(law.pi, er.reachable_steady_state(lone_chain(family, k)).pi)
+        candidates = [k for k in range(1, 201)
+                      if reference_battery(200, min(k * 5e-3 / 200, 5e-3)).eps_t_level == failing]
+        assert len(candidates) == (2 if failing == 116 else 1)
+        skipped = [str(w.message) for w in caught]
+        assert skipped == [f"threshold level {k} skipped: synthetic fill failure"
+                           for k in candidates]
+        # the plain loop's builds fail at that level alone too
+        assert (level, outage, skipped) == plain_search(params, 200)
+        # without level 114, level 116 wins at its first candidate, 115
+        assert level == (115 if failing == 114 else 114)
+
     def test_prunes_most_levels_at_low_power(self, monkeypatch):
         # of the 186 distinct levels at L=200, an exhaustive search solves
         # all; the pruned one solves 1 at 18 dBm N=1 and 30 dBm N=3 and 3 at
@@ -437,12 +481,12 @@ class TestPrunedSearch:
         # At L=20, N=1, 18-18.5 dBm and N=2, 15 dBm every level's outage lies
         # within about 1e-16 of fd, or equals it where every harvest rounds
         # to 0, so only a margin that shrinks with u prunes there
-        solve, solved = er.ChainFamily.steady_states, []
+        fill, solved = er.ChainFamily.fill, []
 
-        def counting(family, k_thrs):
-            solved.extend(k_thrs)
-            return solve(family, k_thrs)
-        monkeypatch.setattr(er.ChainFamily, "steady_states", counting)
+        def counting(family, k_thr, z):
+            solved.append(k_thr)
+            return fill(family, k_thr, z)
+        monkeypatch.setattr(er.ChainFamily, "fill", counting)
         for levels, p_dbm, n_antennas, most in ((200, 18.0, 1, 20), (200, 24.0, 2, 6),
                                                 (200, 30.0, 3, 6), (20, 24.0, 2, 3),
                                                 (20, 18.0, 1, 1), (20, 18.5, 1, 2),
