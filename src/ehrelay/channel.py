@@ -195,7 +195,7 @@ def cdf_h_sr(x, params: SystemParams, omega_sr: float):
 
 
 def sample_fade_blocks(params: SystemParams, links: LinkStats,
-                       rng: np.random.Generator, n: int):
+                       rng: "np.random.Generator", n: int):
     """Draw n independent block fades for all three links at once.
 
     Returns (h_sd, h_sr, h_rd) arrays of length n. Consumption order of

@@ -8,7 +8,11 @@ battery transition matrix built downstream needs rows that sum to one
 within tight tolerance and must not inherit last-ulp drift.
 `marcum_q` takes an array of b and evaluates all of them in one pass
 over the Poisson mixture, which is how the battery chain's CDF tables
-are built.
+are built. The pass's start values, a Poisson CDF and two Poisson pmfs
+per entry, are array code too: they keep the scalar order of
+operations and take math.exp and math.log entry by entry (np.exp and
+np.log differ from them in the last bit on some doubles), so every
+entry keeps the bits of one scalar evaluation.
 """
 
 import math
@@ -72,30 +76,6 @@ def _deviance(n: int, mu: float) -> float:
             return total
         total = nxt
         j += 1
-
-
-def _poisson_cdf(k: int, mu: float) -> float:
-    """Pr{Poisson(mu) <= k} for k >= 0 and mu > 0, accurate in absolute terms.
-
-    Its callers pass k = order - 1 + n >= 0 and mu >= _X_TINY, so it has
-    no guard for k < 0 or mu = 0. Summation starts at min(k, floor(mu))
-    so the largest term is visited first; far-tail terms below the 1e-20
-    cutoff contribute nothing at the accuracy this module targets.
-    """
-    start = min(k, int(mu))
-    head = math.exp(_log_poisson_pmf(start, mu))
-    total = head
-    term, j = head, start
-    while j > 0 and term > 1e-20:
-        term *= j / mu
-        j -= 1
-        total += term
-    term, j = head, start
-    while j < k and term > 1e-20:
-        j += 1
-        term *= mu / j
-        total += term
-    return min(total, 1.0)
 
 
 def poisson_mean_inverse_shift(mu: float, shift: float) -> float:
@@ -208,11 +188,17 @@ def marcum_q(order: int, a: float, b):
 
 def _poisson_mixture(order: int, lam: float, x: np.ndarray):
     """sum_n pois(n; lam) Pr{Poisson(x) <= order-1+n} for every entry of x > 0,
-    or None if the Poisson mass bound is not met within _MAX_TERMS terms."""
+    or None if the Poisson mass bound is not met within _MAX_TERMS terms.
+
+    The start values, G = Pr{Poisson(x) <= k} and the pmf at k and k+1 for
+    k = order-1+int(lam), are arrays over x bit for bit equal to one
+    scalar evaluation per entry (see _poisson_pmfs and _poisson_cdfs)."""
     n0 = int(lam)
     p0 = math.exp(_log_poisson_pmf(n0, lam))
-    xs = x.tolist()
-    g0 = np.array([_poisson_cdf(order - 1 + n0, xi) for xi in xs])
+    k = order - 1 + n0
+    log_x = _map(math.log, x)
+    t_lo = _poisson_pmfs(k, x, log_x)
+    g0 = _poisson_cdfs(k, x, log_x, t_lo)
     total = p0 * g0
     weight = p0
     if 1.0 - weight < _ABS_TOL:
@@ -222,9 +208,8 @@ def _poisson_mixture(order: int, lam: float, x: np.ndarray):
     # chi-square tails G_n = Pr{Poisson(x) <= order-1+n} are updated
     # incrementally in both directions from n0
     p_hi, g_hi, n_hi = p0, g0, n0
-    t_hi = np.array([math.exp(_log_poisson_pmf(order + n0, xi)) for xi in xs])
+    t_hi = _poisson_pmfs(k + 1, x, log_x)
     p_lo, g_lo, n_lo = p0, g0.copy(), n0
-    t_lo = np.array([math.exp(_log_poisson_pmf(order - 1 + n0, xi)) for xi in xs])
     step = np.empty_like(x)
 
     for _ in range(_MAX_TERMS):
@@ -251,6 +236,111 @@ def _poisson_mixture(order: int, lam: float, x: np.ndarray):
             # every term still to come lies below half an ulp of their sum
             return total
     return None
+
+
+def _map(f, x: np.ndarray) -> np.ndarray:
+    """f of every entry of x, one Python float at a time: the start values
+    take math.exp and math.log, whose results np.exp and np.log do not
+    always match to the last bit."""
+    return np.fromiter(map(f, x.tolist()), float, x.size)
+
+
+def _poisson_pmfs(n: int, x: np.ndarray, log_x: np.ndarray) -> np.ndarray:
+    """math.exp(_log_poisson_pmf(n, x_i)) for every entry x_i > 0, bit for
+    bit, given log_x = math.log of each entry.
+
+    Below _SADDLE_POINT_N the direct form is array arithmetic in
+    _log_poisson_pmf's order of operations (at n = 0 it gives -x exactly, as
+    0 * log x and lgamma(1) are zeros); from it on each entry takes the
+    saddle-point form alone."""
+    if n >= _SADDLE_POINT_N:
+        return _map(lambda xi: math.exp(_log_poisson_pmf(n, xi)), x)
+    return _map(math.exp, -x + n * log_x - math.lgamma(n + 1.0))
+
+
+def _poisson_cdfs(k: int, x: np.ndarray, log_x: np.ndarray, pmf_k: np.ndarray) -> np.ndarray:
+    """Pr{Poisson(x_i) <= k} for k >= 0 and every entry x_i >= _X_TINY, given
+    log_x = math.log of each entry and pmf_k, the pmf at k; accurate in
+    absolute terms.
+
+    Each sum starts at the head count min(k, int(x_i)), so the largest
+    term is visited first, walks down to 0 and then up to k, and each walk
+    stops after its first term at most 1e-20: far-tail terms below that
+    cutoff contribute nothing at the accuracy this module targets. Where
+    int(x_i) >= k the head is pmf_k itself. The other heads take the
+    direct pmf form as array arithmetic in _log_poisson_pmf's order of
+    operations, with math.lgamma taken once for each count up to the
+    largest, or from _SADDLE_POINT_N on the saddle-point form one entry at
+    a time. Every entry goes through exactly the floating-point steps of a
+    scalar sum that runs the same walks one term at a time.
+    """
+    start = np.full(x.shape, float(k))
+    head = pmf_k.copy()
+    low = np.flatnonzero(x < k)  # int(x) < k: the head count is int(x)
+    if low.size:
+        xl = x[low]
+        counts = np.floor(xl)
+        start[low] = counts
+        top = counts.max()
+        lgamma = np.array([math.lgamma(c + 1.0)
+                           for c in range(min(int(top), _SADDLE_POINT_N - 1) + 1)])
+        lp = (-xl + counts * log_x[low]
+              - lgamma[np.minimum(counts, _SADDLE_POINT_N - 1).astype(np.intp)])
+        if top >= _SADDLE_POINT_N:
+            for i in np.flatnonzero(counts >= _SADDLE_POINT_N).tolist():
+                lp[i] = _log_poisson_pmf(int(xl[i]), float(xl[i]))
+        head[low] = _map(math.exp, lp)
+    total = head.copy()
+    _walk(total, np.flatnonzero(head > 1e-20), head, start, x)
+    _walk(total, low[head[low] > 1e-20], head, start, x, k)
+    return np.minimum(total, 1.0, out=total)
+
+
+# entries times steps of one block of a _walk
+_WALK_CELLS = 1 << 14
+
+
+def _walk(total, idx, head, start, x, k=None):
+    """Add to total[idx], in place, the walk of each listed entry outward
+    from its head: count j = start and term = head. Downward (k None), each
+    step is term *= j / x; j -= 1, while j > 0; upward, j += 1;
+    term *= x / j, while j < k. Every step then adds total += term, and an
+    entry stops once a term it added is at most 1e-20.
+
+    The steps run in blocks: along a row, an entry's terms are one running
+    product and its sums one running sum, so each is formed exactly as a
+    loop over the steps forms it. Each ratio is at most 1, so the terms
+    only shrink; a step past the end of the walk has ratio 0 (j = 0 on the
+    way down, a divisor masked past k on the way up), and every term after
+    the one that stopped the walk adds an exact zero. The entries still
+    walking go on to the next block, which spans at most _WALK_CELLS
+    entries times steps, and no more steps than the longest walk left.
+    """
+    term, j, x, tot = head[idx], start[idx], x[idx], total[idx]
+    while idx.size:
+        n = idx.size
+        width = min(int((j if k is None else k - j).max()) + 1, max(1, _WALK_CELLS // n))
+        steps = np.arange(width, dtype=float)
+        a = np.zeros((n, width + 1))
+        a[:, 0] = term
+        if k is None:
+            np.divide(j[:, None] - steps, x[:, None], out=a[:, 1:])
+        else:
+            count = j[:, None] + (steps + 1.0)
+            np.divide(x[:, None], count, out=a[:, 1:], where=count <= k)
+        terms = np.multiply.accumulate(a, axis=1)
+        np.multiply(terms[:, 1:], terms[:, :-1] > 1e-20, out=a[:, 1:])
+        a[:, 0] = tot
+        sums = np.add.accumulate(a, axis=1)
+        term, tot = terms[:, -1], sums[:, -1]
+        going = term > 1e-20
+        if not going.any():
+            total[idx] = tot
+            return
+        stopped = ~going
+        total[idx[stopped]] = tot[stopped]
+        idx, term, tot, x = idx[going], term[going], tot[going], x[going]
+        j = j[going] - width if k is None else j[going] + width
 
 
 def lower_incomplete_gamma(alpha: float, x: float) -> float:

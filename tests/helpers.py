@@ -1,6 +1,6 @@
 """Shared test fixtures: the reference network setup, the analytic
-oracles, a chain the GTH solve cannot finish and the one-block protocol
-reference used across the suite."""
+oracles, a chain the GTH solve cannot finish, the one-block protocol
+reference and the frozen scalar Marcum-Q used across the suite."""
 
 import math
 
@@ -140,3 +140,85 @@ def window_occupancy(z, start, warmup, blocks):
     skipped, _ = _power_and_sum(z, warmup)
     _, window = _power_and_sum(z, blocks)
     return skipped[start] @ window / blocks
+
+
+def _reference_log_poisson_pmf(n, mu):
+    if n == 0:
+        return -mu
+    if n < 500:
+        return -mu + n * math.log(mu) - math.lgamma(n + 1.0)
+    stirling = (1.0 / 12.0 - 1.0 / (360.0 * n * n)) / n
+    d = n - mu
+    if abs(d) >= 0.1 * (n + mu):
+        deviance = n * math.log(n / mu) + mu - n
+    else:
+        v = d / (n + mu)
+        deviance, term, v2, j = d * v, 2.0 * n * v, v * v, 1
+        while True:
+            term *= v2
+            nxt = deviance + term / (2 * j + 1)
+            if nxt == deviance:
+                break
+            deviance, j = nxt, j + 1
+    return -0.5 * (math.log(2.0 * math.pi) + math.log(n)) - stirling - deviance
+
+
+def _reference_poisson_cdf(k, mu):
+    start = min(k, int(mu))
+    head = math.exp(_reference_log_poisson_pmf(start, mu))
+    total = head
+    term, j = head, start
+    while j > 0 and term > 1e-20:
+        term *= j / mu
+        j -= 1
+        total += term
+    term, j = head, start
+    while j < k and term > 1e-20:
+        j += 1
+        term *= mu / j
+        total += term
+    return min(total, 1.0)
+
+
+def marcum_q_reference(order, a, b):
+    """Q_order(a, b) for one b, one Python float at a time: a frozen copy of
+    marcum_q's Poisson mixture as it stood with scalar start values (one
+    scalar Poisson CDF and two scalar pmfs per entry), with the mixture
+    recurrence written for one entry. marcum_q must match it bit for bit;
+    None where the mixture does not converge within 10000 terms."""
+    x = 0.5 * b * b
+    if x < 1e-300:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    lam = 0.5 * a * a
+    n0 = int(lam)
+    p0 = math.exp(_reference_log_poisson_pmf(n0, lam))
+    g0 = _reference_poisson_cdf(order - 1 + n0, x)
+    total, weight = p0 * g0, p0
+    if 1.0 - weight < 1e-12:
+        return min(max(total, 0.0), 1.0)
+    p_hi, g_hi, n_hi = p0, g0, n0
+    t_hi = math.exp(_reference_log_poisson_pmf(order + n0, x))
+    p_lo, g_lo, n_lo = p0, g0, n0
+    t_lo = math.exp(_reference_log_poisson_pmf(order - 1 + n0, x))
+    for _ in range(10000):
+        if 1.0 - weight < 1e-12:
+            return min(max(total, 0.0), 1.0)
+        before = weight
+        n_hi += 1
+        p_hi *= lam / n_hi
+        g_hi = min(g_hi + t_hi, 1.0)
+        t_hi *= x / (order + n_hi)
+        total += g_hi * p_hi
+        weight += p_hi
+        if n_lo > 0:
+            p_lo *= n_lo / lam
+            g_lo = max(g_lo - t_lo, 0.0)
+            t_lo *= (order - 1 + n_lo) / x
+            n_lo -= 1
+            total += g_lo * p_lo
+            weight += p_lo
+        if weight == before:
+            return min(max(total, 0.0), 1.0)
+    return None

@@ -1,14 +1,17 @@
 """Layering rules of the package, checked on its source: no module
 imports another module's private (underscore) names or reads a private
 attribute of anything but `self` or `cls`, the runtime imports nothing
-outside the standard library and numpy, and the CLI takes its analytic
-numbers from `outage.evaluate_points` alone (`evaluate_point` is its
-batch of one). The test suite's one-block protocol reference shares no
+outside the standard library and numpy, no module uses numpy's exp or
+log functions, importing the package does not load `numpy.random`, and
+the CLI takes its analytic numbers from `outage.evaluate_points` alone
+(`evaluate_point` is its batch of one). The test suite's one-block protocol reference shares no
 code with the simulator it checks, and every package name the benchmark
 calls stays public."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -61,6 +64,56 @@ def test_runtime_imports_only_stdlib_and_numpy(path):
                if top not in sys.stdlib_module_names and top not in ALLOWED_THIRD_PARTY]
     assert not foreign, f"{path.name} imports outside the stdlib and numpy: {foreign}"
 
+
+# np.exp and np.log differ from math.exp and math.log in the last bit on
+# some doubles (np.exp on several percent of them); the CDF tables keep the
+# bits of one scalar evaluation per entry by taking the math functions
+NUMPY_EXP_LOG = {"exp", "log", "log1p", "expm1"}
+
+
+def numpy_exp_log_uses(source):
+    """Lines that name numpy's exp, log, log1p or expm1, called or not."""
+    tree = ast.parse(source)
+    numpy_names = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "numpy"}
+    uses = [f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in NUMPY_EXP_LOG
+            and isinstance(node.value, ast.Name) and node.value.id in numpy_names]
+    uses += [f"line {node.lineno}: from numpy import {alias.name}" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+             for alias in node.names if alias.name in NUMPY_EXP_LOG]
+    return uses
+
+
+def test_numpy_exp_log_check_finds_every_form():
+    source = ("import numpy as np\nimport numpy\nfrom numpy import log1p\n"
+              "y = np.exp(x)\nf = numpy.log\nz = np.expm1.reduce(x)\nw = np.sqrt(x)\n")
+    assert sorted(use.split(":")[0] for use in numpy_exp_log_uses(source)) == [
+        "line 3", "line 4", "line 5", "line 6"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_numpy_exp_or_log(path):
+    uses = numpy_exp_log_uses(path.read_text(encoding="utf-8"))
+    assert not uses, f"{path.name} uses numpy's exp or log: {uses}"
+
+
+def test_import_does_not_load_numpy_random(tmp_path):
+    # numpy loads numpy.random lazily, and it costs some 17 ms of start-up
+    # (secrets, hashlib, hmac); the import and config load every CLI verb
+    # makes must not pull it in (simulate's default_rng does, on call)
+    config = tmp_path / "empty.cfg"
+    config.write_text("", encoding="utf-8")
+    code = ("import sys, ehrelay, ehrelay.cli\n"
+            "ehrelay.cli.load_config(sys.argv[1])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n")
+    src = str(SOURCES[0].parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code, str(config)], capture_output=True,
+                          text=True, timeout=60, check=True, env=env)
+    assert done.stdout.strip() == "[]"
 
 # the closed-form stages that evaluate_points chains together for the CLI
 POINT_STAGES = {"ChainFamily", "harvest_grid", "build_transition_matrix",

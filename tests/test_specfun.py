@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
+from helpers import marcum_q_reference, reference_battery, reference_params
+
+import ehrelay as er
 from ehrelay import NumericalError, ValidationError, lower_incomplete_gamma, marcum_q
 from ehrelay import specfun
 from ehrelay.specfun import poisson_mean_inverse_shift
@@ -147,6 +150,91 @@ class TestMarcumQArrays:
             marcum_q(1, 9.0, np.array([0.0, 5.0, 6.0]))
         with pytest.raises(NumericalError, match=r"order=1, a=9\.0, b=5\.0\)"):
             marcum_q(1, 9.0, 5.0)
+
+
+def assert_matches_oracle(order, a, bs):
+    """marcum_q over the array bs equals marcum_q_reference entry by entry,
+    compared by float.hex."""
+    bs = np.asarray(bs, dtype=float)
+    got = [float(v).hex() for v in marcum_q(order, a, bs)]
+    want = [marcum_q_reference(order, a, b).hex() for b in bs.tolist()]
+    bad = [(b, g, w) for b, g, w in zip(bs.tolist(), got, want) if g != w]
+    assert not bad, (f"{len(bad)} of {bs.size} entries differ from the oracle; "
+                     f"first (b, got, want): {bad[0]}")
+
+
+def head_sides(order, a, bs):
+    """Entries of bs that run the series with int(x) >= k (head pmf(k, x))
+    and with int(x) < k (head pmf(int(x), x)), x = b^2/2, k = order-1+int(a^2/2)."""
+    k = order - 1 + int(0.5 * a * a)
+    x = 0.5 * np.asarray(bs, dtype=float) ** 2
+    x = x[x >= 1e-300]
+    return int(np.sum(x >= k)), int(np.sum(x < k))
+
+
+class TestMarcumQOracle:
+    """marcum_q against helpers.marcum_q_reference, a frozen scalar copy of
+    the mixture with one scalar Poisson CDF and two scalar pmfs per entry.
+    The start values are array code; every entry must keep the bits the
+    scalar evaluation gives it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(order=st.integers(1, 4), a=st.one_of(st.just(0.0), st.floats(0.0, 60.0)),
+           data=st.data())
+    def test_equals_the_scalar_oracle(self, order, a, data):
+        # b up to about 2a: x = b^2/2 spans the head counts on both sides of k
+        b = st.one_of(st.just(0.0), st.floats(0.0, 2.0 * a + 12.0))
+        assert_matches_oracle(order, a, data.draw(st.lists(b, min_size=1, max_size=24)))
+
+    @pytest.mark.parametrize("size", [1, 2, 43, 201, 403, 2000])
+    def test_array_lengths(self, size):
+        a = math.sqrt(60.0)  # N = 3, K = 10: k = 32
+        bs = np.random.default_rng(size).uniform(0.0, 16.0, size)
+        assert_matches_oracle(3, a, bs)
+        if size >= 43:
+            assert min(head_sides(3, a, bs)) > 0
+
+    def test_sweep_sized_grid(self, monkeypatch):
+        # the one marcum_q call behind a 16-point L=200 grid of evaluate_points
+        calls = []
+
+        def recording(order, a, b):
+            calls.append((order, a, np.array(b, dtype=float)))
+            return marcum_q(order, a, b)
+
+        monkeypatch.setattr(er.channel, "marcum_q", recording)
+        points = [(reference_params(p, 3), reference_battery(200))
+                  for p in np.linspace(15.0, 30.0, 16)]
+        list(er.evaluate_points(points))
+        (order, a, bs), = [c for c in calls if c[2].size > 6000]
+        assert min(head_sides(order, a, bs)) > 0
+        assert_matches_oracle(order, a, bs)
+
+    @pytest.mark.parametrize("order", [1, 4])
+    def test_saddle_point_counts(self, order):
+        # a^2/2 = 612.5: the pmfs at k and k+1 take the saddle-point form,
+        # and so do the heads int(x) in [500, k); heads below 500 are direct
+        x = np.concatenate([np.linspace(0.0, 1500.0, 151), np.linspace(480.0, 620.0, 141)])
+        bs = np.sqrt(2.0 * x)
+        assert min(head_sides(order, 35.0, bs)) > 0
+        assert np.any((x >= 500.0) & (x < 612.0))
+        assert_matches_oracle(order, 35.0, bs)
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, math.sqrt(60.0)])
+    def test_just_above_the_series_floor(self, a):
+        x = 1e-300 * np.array([1.0 + 2.0**-40, 1.5, 2.0, 10.0, 1e10, 1e300])
+        bs = np.sqrt(2.0 * x)
+        assert np.all(0.5 * bs * bs >= 1e-300)
+        for order in (1, 2, 3, 4):
+            assert_matches_oracle(order, a, bs)
+
+    def test_long_downward_walks(self):
+        # a^2/2 = 1800: near x = 1800 the downward walk from the head runs
+        # some 400 steps before its terms fall to 1e-20, and at 300 entries
+        # it runs them in several blocks
+        bs = np.sqrt(2.0 * np.linspace(1500.0, 2100.0, 300))
+        assert min(head_sides(2, 60.0, bs)) > 0
+        assert_matches_oracle(2, 60.0, bs)
 
 
 class TestPoissonMeanInverseShift:
