@@ -18,7 +18,12 @@ chain is (a real regime here: at low source power the level
 discretization rounds essentially every harvest to zero). The solve
 eliminates states from the top in blocks and touches only the lower
 band read off the chain's nonzero pattern (k_thr wide for a battery
-chain), which stays the same width as elimination proceeds. It runs on
+chain), which stays the same width as elimination proceeds. Work whose
+result is an exact zero is skipped: a chain whose every state is
+entered from below reaches every state without a search, and the
+updates of entries the pattern keeps at zero are not made, since zeros
+stay exact zeros when nonnegative numbers are added, multiplied and
+divided (see _gth_stationary). It runs on
 a stack of chains, so each Python-level step serves every chain of the
 stack: `stacked_steady_states` fills chains of any families, one
 `ChainFamily.fill` a chain, `ChainFamily.stack_size` at a time
@@ -494,6 +499,18 @@ def _gth_stationary(p: np.ndarray) -> tuple:
     multiplies or divides nonnegative numbers: there are no
     subtractions, as in plain GTH.
 
+    So an entry that is zero stays an exact zero until a product with a
+    nonzero reaches it, and two kinds of such work are skipped. At pivot
+    k, the identity rows of the block's states below k still hold zeros
+    right of their own column, so only the b rows from k's identity row
+    up are updated. And a row below a block's floor, the lowest row of
+    any chain of the stack with an entry in the block's columns or right
+    of them on the input pattern, has never been touched by an
+    elimination from the top: its product with the block's map is zero,
+    so the block-end product starts at the floor. Skipping them leaves
+    every other entry, and so every law and pivot sum of a chain whose
+    pivots are positive, bit for bit unchanged.
+
     A chain's law does not depend on the stack it is solved in: a chain
     narrower than the stack sums its pivot rows over its own band
     (numpy's pairwise sum groups by length, so leading zeros would move
@@ -501,7 +518,8 @@ def _gth_stationary(p: np.ndarray) -> tuple:
     its back-substitution rescales on its own counts. Pivot sums are
     written into one (m, n) array for the caller to check after the
     solve; a chain with a zero pivot turns to inf and NaN from there on,
-    in its own slice only, so it fails alone, and the floating-point
+    in its own slice only, so it fails alone, at the same first zero
+    pivot (the skipped work lies below it), and the floating-point
     warnings that raises are silenced.
     """
     piv = np.ones(p.shape[:-1])
@@ -513,10 +531,19 @@ def _gth_stationary(p: np.ndarray) -> tuple:
 def _gth_eliminate(p: np.ndarray, piv: np.ndarray) -> None:
     """Eliminate states n-1..1 of every chain of p, writing pivot sums to piv[..., k]."""
     m, n = p.shape[:2]
+    pattern = p > 0.0
     # lower bandwidth of each chain: the largest s - j with p[s, j] > 0 and j < s
     bands = [max(0, band) for band in
-             (np.arange(n) - (p > 0.0).argmax(axis=-1)).max(axis=-1).tolist()]
+             (np.arange(n) - pattern.argmax(axis=-1)).max(axis=-1).tolist()]
     bw = max(bands)
+    # each block's floor: the lowest row of any chain with an entry in a
+    # column >= lo. The rows below it never change while the states from lo
+    # up are eliminated (a row without entries is taken to reach the top)
+    union = pattern.any(axis=0)
+    del pattern
+    reach = np.maximum.accumulate(n - 1 - union[:, ::-1].argmax(axis=-1))
+    his = range(n, 1, -_GTH_BLOCK)
+    floors = reach.searchsorted([max(1, hi - _GTH_BLOCK) for hi in his]).tolist()
     # chains narrower than the stack, narrowest first: their pivot sums run
     # over their own band, as they would in a solve of their own, from the
     # first pivot where that band ends before the stack's
@@ -532,7 +559,7 @@ def _gth_eliminate(p: np.ndarray, piv: np.ndarray) -> None:
     # identity under the block's own columns, zeros left of them
     ident = np.zeros((_GTH_BLOCK, max(width, _GTH_BLOCK)))
     ident[:, -_GTH_BLOCK:] = np.eye(_GTH_BLOCK)
-    for hi in range(n, 1, -_GTH_BLOCK):
+    for hi, floor in zip(his, floors):
         lo = max(1, hi - _GTH_BLOCK)
         b = hi - lo
         c0 = max(0, lo - bw)
@@ -555,12 +582,18 @@ def _gth_eliminate(p: np.ndarray, piv: np.ndarray) -> None:
                 if band >= k:
                     break
                 piv[i, k] = np.add.reduce(w[i, r, kc - band:kc])
-            col = w[..., :r, kc:kc + 1]
+            # rows [b, r) are the block's rows above k, rows [k - lo, b) the
+            # identity rows of k and up; those of the states below k hold an
+            # exact zero in column k, so the pivot leaves them as they are
+            col = w[..., k - lo:r, kc:kc + 1]
             col /= s
-            w[..., :r, c:kc] += col * row
-        # in slabs of `slab` rows, none of one row: BLAS multiplies a lone
-        # row by another route, and a chain must come out as it would alone
-        r0 = 0
+            w[..., k - lo:r, c:kc] += col * row
+        # rows below the floor hold zeros in the block's columns, so the
+        # product leaves them as they are. The rest go in slabs of `slab`
+        # rows, none of one row: BLAS multiplies a lone row by another
+        # route, and a chain must come out as it would alone, so a lone row
+        # above the floor is taken with the zero row under it
+        r0 = floor - 1 if floor == lo - 1 > 0 else floor
         while r0 < lo:
             r1 = lo if lo - r0 <= slab + 1 else r0 + slab
             y = np.matmul(p[..., r0:r1, lo:hi], w[..., :b, :],
@@ -598,11 +631,24 @@ def _gth_visits(p: np.ndarray) -> np.ndarray:
 
 def _reachable_from(adj: np.ndarray) -> np.ndarray:
     """States reachable from state 0 on each pattern of an (m, n, n) stack,
-    state 0 included, as an (m, n) mask: one breadth-first search for the
-    whole stack, each step taking the rows of every chain's frontier."""
-    seen = np.zeros(adj.shape[:-1], dtype=bool)
+    state 0 included, as an (m, n) mask.
+
+    A chain in which every state s >= 1 is entered from some state below
+    it reaches every state, by induction on s. One test of the whole
+    stack's pattern (the first row with an entry in each column) finds
+    those chains, and they need no search. The others share one
+    breadth-first search, each step taking the rows of every such chain's
+    frontier."""
+    m, n = adj.shape[:2]
+    # argmax gives row 0 for a column without entries too
+    entered = (adj.argmax(axis=-2) < np.arange(n)) & adj.any(axis=-2)
+    full = entered[:, 1:].all(axis=-1)
+    seen = np.zeros((m, n), dtype=bool)
     seen[:, 0] = True
-    if len(adj) == 1:
+    seen[full] = True
+    if full.all():
+        return seen
+    if m == 1:
         # a lone chain ORs its frontier rows directly
         lone, mask = adj[0], seen[0]
         frontier = mask.copy()
@@ -610,8 +656,8 @@ def _reachable_from(adj: np.ndarray) -> np.ndarray:
             frontier = lone[frontier].any(axis=0) & ~mask
             mask |= frontier
         return seen
-    frontier = seen.copy()
-    chain_ids = np.arange(len(adj))[:, None]
+    frontier = seen & ~full[:, None]
+    chain_ids = np.arange(m)[:, None]
     while frontier.any():
         # each chain ORs its own frontier rows: a boolean product with the
         # chain-by-row selector

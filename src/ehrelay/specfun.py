@@ -190,51 +190,75 @@ def _poisson_mixture(order: int, lam: float, x: np.ndarray):
     """sum_n pois(n; lam) Pr{Poisson(x) <= order-1+n} for every entry of x > 0,
     or None if the Poisson mass bound is not met within _MAX_TERMS terms.
 
-    The start values, G = Pr{Poisson(x) <= k} and the pmf at k and k+1 for
+    The weights and so the number of terms depend on lam alone, so they
+    are found first (_mixture_weights), and a mixture that would not
+    converge is refused before any start value is computed. The start
+    values, G = Pr{Poisson(x) <= k} and the pmf at k and k+1 for
     k = order-1+int(lam), are arrays over x bit for bit equal to one
     scalar evaluation per entry (see _poisson_pmfs and _poisson_cdfs)."""
     n0 = int(lam)
     p0 = math.exp(_log_poisson_pmf(n0, lam))
+    weights = _mixture_weights(lam, n0, p0)
+    if weights is None:
+        return None
     k = order - 1 + n0
     log_x = _map(math.log, x)
     t_lo = _poisson_pmfs(k, x, log_x)
     g0 = _poisson_cdfs(k, x, log_x, t_lo)
     total = p0 * g0
-    weight = p0
-    if 1.0 - weight < _ABS_TOL:
+    if not weights:
         # lam = 0 (a = 0, Rician K = 0): the mixture is its first term
         return total
 
     # chi-square tails G_n = Pr{Poisson(x) <= order-1+n} are updated
     # incrementally in both directions from n0
-    p_hi, g_hi, n_hi = p0, g0, n0
+    g_hi, n_hi = g0, n0
     t_hi = _poisson_pmfs(k + 1, x, log_x)
-    p_lo, g_lo, n_lo = p0, g0.copy(), n0
+    g_lo, n_lo = g0.copy(), n0
     step = np.empty_like(x)
-
-    for _ in range(_MAX_TERMS):
-        if 1.0 - weight < _ABS_TOL:
-            return total
-        before = weight
+    for p_hi, p_lo in weights:
         n_hi += 1
-        p_hi *= lam / n_hi
         g_hi += t_hi
         np.minimum(g_hi, 1.0, out=g_hi)
         t_hi *= np.divide(x, order + n_hi, out=step)
         total += np.multiply(g_hi, p_hi, out=step)
-        weight += p_hi
-        if n_lo > 0:
-            p_lo *= n_lo / lam
+        if p_lo is not None:
             g_lo -= t_lo
             np.maximum(g_lo, 0.0, out=g_lo)
             t_lo *= np.divide(order - 1 + n_lo, x, out=step)
             n_lo -= 1
             total += np.multiply(g_lo, p_lo, out=step)
+    return total
+
+
+def _mixture_weights(lam: float, n0: int, p0: float):
+    """The Poisson weights the mixture adds after pois(n0; lam) = p0, as
+    (weight at n0 + t, weight at n0 - t or None once below 0) for
+    t = 1, 2, ...: a list of one pair per term, or None if the mass bound
+    is not met within _MAX_TERMS terms. Iteration stops once the summed
+    weight is within _ABS_TOL of 1, or once a term no longer moves it."""
+    weights = []
+    weight = p0
+    p_hi, n_hi = p0, n0
+    p_lo, n_lo = p0, n0
+    for _ in range(_MAX_TERMS):
+        if 1.0 - weight < _ABS_TOL:
+            return weights
+        before = weight
+        n_hi += 1
+        p_hi *= lam / n_hi
+        weight += p_hi
+        low = None
+        if n_lo > 0:
+            p_lo *= n_lo / lam
+            n_lo -= 1
             weight += p_lo
+            low = p_lo
+        weights.append((p_hi, low))
         if weight == before:
             # the rounded weights can sum to just short of 1 - _ABS_TOL;
             # every term still to come lies below half an ulp of their sum
-            return total
+            return weights
     return None
 
 

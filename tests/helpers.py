@@ -1,6 +1,7 @@
 """Shared test fixtures: the reference network setup, the analytic
 oracles, a chain the GTH solve cannot finish, the one-block protocol
-reference and the frozen scalar Marcum-Q used across the suite."""
+reference, the frozen scalar Marcum-Q and the plain reachability search
+used across the suite."""
 
 import math
 
@@ -74,6 +75,25 @@ def zero_pivot_chain(n, state):
         z[i, min(i + 1, n - 1)] += 0.5
         z[i, i - 1 if i > state else i] += 0.5
     return z
+
+
+def reachable_reference(pattern):
+    """States reachable from state 0 on a square boolean pattern, state 0
+    included, as a list of bools: a plain breadth-first search over the
+    pattern's entries, one state at a time. Written from the definition
+    alone, so it is an oracle for the solver's reachability scan that
+    shares no code with it."""
+    rows = [[bool(entry) for entry in row] for row in pattern]
+    seen = [False] * len(rows)
+    seen[0] = True
+    queue = [0]
+    while queue:
+        state = queue.pop(0)
+        for target, edge in enumerate(rows[state]):
+            if edge and not seen[target]:
+                seen[target] = True
+                queue.append(target)
+    return seen
 
 
 def reference_block(state, h_sd, h_sr, h_rd, params, thr, cfg, continuous=False):

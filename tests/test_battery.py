@@ -12,8 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 import ehrelay as er
-from helpers import (lone_chain, reference_battery, reference_params, window_occupancy,
-                     zero_pivot_chain)
+from helpers import (lone_chain, reachable_reference, reference_battery, reference_params,
+                     window_occupancy, zero_pivot_chain)
 
 
 def rician_vector_cdf_scipy(x, params, omega_sr):
@@ -124,6 +124,15 @@ def random_chain(rng, n, bw, fill, stiff):
         jump = cols - rows if stiff == "up" else rows - cols
         z[jump > 0] *= 10.0 ** (-exponent * jump[jump > 0] / (n - 1))
     return z / z.sum(axis=1, keepdims=True)
+
+
+def family_stack(p_dbm, n_antennas, levels, k_thrs):
+    """The chains of the reference family at p_dbm at the threshold levels
+    k_thrs, as one (len(k_thrs), L+1, L+1) stack."""
+    params = reference_params(p_s_dbm=p_dbm, n_antennas=n_antennas)
+    family = er.ChainFamily(params, er.link_stats(params), er.thresholds(params.rate), 5e-3,
+                            levels)
+    return np.stack([lone_chain(family, k).z for k in k_thrs])
 
 
 def power_iteration(z, tol=1e-12, max_iters=2_000_000):
@@ -597,6 +606,177 @@ class TestGthSolve:
             assert np.array_equal(pi, er.battery._gth_stationary(z.copy()[None])[0][0])
             assert_relative(pi, textbook_gth(z), 1e-12)
         assert pis[0][-1] > 0.99 and pis[0][0] == 0.0
+
+
+def pattern(*rows):
+    """A boolean pattern from rows of '0' and '1'."""
+    return np.array([[c == "1" for c in row] for row in rows])
+
+
+# four-state patterns, each with the states reachable from state 0
+HAND_PATTERNS = {
+    # every state entered from a state below it: no search needed
+    "entered_from_below": pattern("0100", "0010", "0001", "1000"),
+    # every state reachable, but state 1 entered only from state 3 above it
+    "entered_from_above": pattern("0001", "0010", "1000", "0100"),
+    # states 2 and 3 entered only by their own self-loops
+    "self_loop_only": pattern("0100", "1000", "1010", "0001"),
+    # no state enters state 3
+    "never_entered": pattern("0100", "1010", "1000", "1100"),
+    "dense": np.ones((4, 4), dtype=bool),
+}
+
+
+class TestReachability:
+    """_reachable_from, which settles chains whose every state is entered
+    from below without a search, against a plain breadth-first search."""
+
+    @pytest.mark.parametrize("name", HAND_PATTERNS)
+    def test_hand_made_pattern(self, name):
+        adj = HAND_PATTERNS[name]
+        expected = reachable_reference(adj)
+        assert er.battery._reachable_from(adj[None]).tolist() == [expected]
+        # the transposed view steady_state scans, strides and all
+        assert (er.battery._reachable_from(adj.T[None]).tolist()
+                == [reachable_reference(adj.T)])
+        assert all(expected) == (name in ("entered_from_below", "entered_from_above", "dense"))
+
+    @pytest.mark.parametrize("names", [
+        ("entered_from_below", "entered_from_above"),
+        ("dense", "self_loop_only", "entered_from_below"),
+        ("never_entered", "dense", "entered_from_above", "self_loop_only"),
+        tuple(HAND_PATTERNS),
+    ])
+    def test_stack_of_finished_and_unfinished_chains(self, names):
+        stack = np.stack([HAND_PATTERNS[name] for name in names])
+        for adj in (stack, stack.transpose(0, 2, 1)):
+            assert (er.battery._reachable_from(adj).tolist()
+                    == [reachable_reference(one) for one in adj])
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 12), chains=st.integers(1, 6), density=st.floats(0.0, 0.6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_patterns(self, n, chains, density, seed):
+        adj = np.random.default_rng(seed).random((chains, n, n)) < density
+        assert (er.battery._reachable_from(adj).tolist()
+                == [reachable_reference(one) for one in adj])
+
+    @pytest.mark.parametrize("levels, p_dbms, cut", [
+        (20, (15.0,), True),
+        (200, (15.0, 20.0, 25.0, 30.0), False),
+    ])
+    def test_family_chains(self, levels, p_dbms, cut):
+        # L=20 at 15 dBm cuts chains down to small reachable sets; at L=200
+        # every state is reachable, from 15 dBm up
+        real = er.battery._reachable_from
+        seen = []
+
+        def recorded(adj):
+            seen.append((adj.copy(), adj.flags.c_contiguous, real(adj)))
+            return seen[-1][-1]
+
+        k_thrs = (1, 2, 5, 10, levels // 2, levels)
+        for p_dbm in p_dbms:
+            for n_antennas in (1, 2, 3):
+                stack = family_stack(p_dbm, n_antennas, levels, k_thrs)
+                expected = [reachable_reference(z > 0.0) for z in stack]
+                assert real(stack > 0.0).tolist() == expected
+                assert not any(map(all, expected)) if cut else all(map(all, expected))
+                with mock.patch.object(er.battery, "_reachable_from", recorded):
+                    for z in stack:
+                        tm = er.TransitionMatrix(z)
+                        er.reachable_steady_state(tm)
+                        try:
+                            er.steady_state(tm)
+                        except er.NumericalError as exc:
+                            assert "reducible" in str(exc)
+        # every call: reachable_steady_state's and steady_state's, the
+        # latter on the pattern and, if all is reachable, on its transposed view
+        assert any(not contiguous for _, contiguous, _ in seen) != cut
+        for adj, _, reach in seen:
+            assert reach.tolist() == [reachable_reference(one) for one in adj]
+
+
+def broken_below(z, state):
+    """z with every move from `state` and up to a state below it put on the
+    diagonal instead: all states stay reachable from 0, but GTH meets its
+    first zero pivot at `state`."""
+    z = z.copy()
+    for i in range(state, len(z)):
+        z[i, i] += z[i, :state].sum()
+        z[i, :state] = 0.0
+    return z
+
+
+def gth_floors(stack):
+    """(lo, floor) of each GTH block of a stack: the lowest row of any chain
+    with an entry in a column >= lo, or lo where no row below lo has one."""
+    n = stack.shape[-1]
+    union = (stack > 0.0).any(axis=0)
+    floors = []
+    for hi in range(n, 1, -er.battery._GTH_BLOCK):
+        lo = max(1, hi - er.battery._GTH_BLOCK)
+        floors.append((lo, next((i for i in range(lo) if union[i, lo:].any()), lo)))
+    return floors
+
+
+def hex_law(pi):
+    return [float.hex(v) for v in pi.tolist()]
+
+
+class TestEliminationSkips:
+    """The stacked GTH skips pivot updates of identity rows that hold a zero
+    in the pivot's column and block-end products of rows below the block's
+    floor; every law stays bit for bit its lone solve."""
+
+    def assert_lone_solves(self, stack, broken=None, state=None):
+        solve = er.battery._gth_stationary
+        pis, pivots = solve(stack.copy())
+        laws = er.battery._stationary_laws(stack.copy(), [None] * len(stack))
+        for i, z in enumerate(stack):
+            if i == broken:
+                # only the broken chain fails, at its first zero pivot
+                assert np.flatnonzero(~(pivots[i] > 0.0)).max() == state
+                assert isinstance(laws[i], er.NumericalError)
+                assert f"zero pivot at state {state};" in str(laws[i])
+                continue
+            pi, piv = (out[0] for out in solve(z.copy()[None]))
+            assert hex_law(pis[i]) == hex_law(pi) == hex_law(laws[i].pi)
+            assert hex_law(pivots[i]) == hex_law(piv)
+            assert_relative(pis[i], textbook_gth(z), 1e-12)
+
+    def test_floors_skip_rows_beside_a_broken_chain(self):
+        # at 15 dBm an L=200 chain charges a few levels a block, so most
+        # rows below a block hold no entry in its columns or right of them
+        stack = family_stack(15.0, 1, 200, (1, 10, 40, 100, 160, 200))
+        stack[2] = broken_below(stack[2], 123)
+        floors = gth_floors(stack)
+        assert sum(floor > 0 for _, floor in floors) > len(floors) // 2
+        assert sum(floor for _, floor in floors) > 0.3 * sum(lo for lo, _ in floors)
+        assert all(er.battery._reachable_from(stack > 0.0).all(axis=-1))
+        self.assert_lone_solves(stack, broken=2, state=123)
+
+    @pytest.mark.parametrize("stack_bytes", [None, 1, 2000])
+    def test_floor_one_row_below_a_block(self, stack_bytes):
+        # each state moves one level up or down, but states 8 and 16 may
+        # jump up to eight levels: alone, the floors of the blocks from 17
+        # and from 9 lie one row below them, and each of those rows meets
+        # the block in several columns. In a stack with a dense chain the
+        # floors are 0, so those rows share their slabs with many others
+        rng = np.random.default_rng(11)
+        n, stack = 25, []
+        for _ in range(4):
+            z = np.zeros((n, n))
+            for i in range(n):
+                top = min(n, i + (9 if i in (8, 16) else 2))
+                z[i, max(0, i - 1):top] = rng.uniform(0.1, 1.0, top - max(0, i - 1))
+            stack.append(z / z.sum(axis=1, keepdims=True))
+            assert {(17, 16), (9, 8)} <= set(gth_floors(stack[-1][None]))
+        stack = np.stack(stack + [random_chain(rng, n, 1, 1.0, None)])
+        assert all(floor == 0 for _, floor in gth_floors(stack))
+        with mock.patch.object(er.battery, "_GTH_STACK_BYTES",
+                               stack_bytes or er.battery._GTH_STACK_BYTES):
+            self.assert_lone_solves(stack)
 
 
 class TestSteadyStates:

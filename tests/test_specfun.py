@@ -151,6 +151,17 @@ class TestMarcumQArrays:
         with pytest.raises(NumericalError, match=r"order=1, a=9\.0, b=5\.0\)"):
             marcum_q(1, 9.0, 5.0)
 
+    def test_nonconvergence_found_before_the_start_values(self, monkeypatch):
+        # at a^2/2 = 2**53 the 10000-term mixture cannot reach the tail
+        # bound; its scalar weights show that, before any start value
+        def unreached(*args):
+            raise AssertionError("start values of a mixture that cannot converge")
+
+        monkeypatch.setattr(specfun, "_poisson_cdfs", unreached)
+        monkeypatch.setattr(specfun, "_poisson_pmfs", unreached)
+        with pytest.raises(NumericalError, match=r"order=4, a=134217728\.0, b=134217728\.5\)"):
+            marcum_q(4, 2**27, 2**27 + 0.5)
+
 
 def assert_matches_oracle(order, a, bs):
     """marcum_q over the array bs equals marcum_q_reference entry by entry,
